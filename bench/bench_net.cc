@@ -10,6 +10,11 @@
 //     wire protocol, epoll event loop, blocking NetClient — cold then hit;
 //     net_hit_overhead_ms is the per-request tax of the network hop on a
 //     cache hit (framing + syscalls + loopback RTT, no mining);
+//   * count kernel: serve::CountSupports (the one-pass rank-trie kernel)
+//     against a bench-local per-candidate Matches scan — the counting it
+//     replaced — on each query's phase-1 union candidates over one shard,
+//     single-threaded. The counts must agree, and at full size the kernel
+//     must be ≥5× faster (count_kernel_speedup);
 //   * router: the stream scattered across two shard workers, twice — once
 //     through the legacy one-phase σ'=1 scatter (every shard re-mined at
 //     support 1) and once through the default two-phase candidate/count
@@ -22,7 +27,8 @@
 // Asserts byte-identical canonical pattern streams (EncodeNamedPatterns
 // bytes) between the in-process run and both network paths — the loopback
 // worker AND the 2-shard router, both modes (including a top-k re-cut
-// query) — plus a working stats RPC, and writes BENCH_net.json.
+// query) — plus count-kernel vs per-candidate-scan count parity and a
+// working stats RPC, and writes BENCH_net.json.
 //
 // The epoll server is Linux-only; elsewhere the bench reports "skipped"
 // and exits 0 so the gate stays portable.
@@ -31,8 +37,10 @@
 //   --smoke  small corpus (CI gate).
 //   --out    output JSON path (default BENCH_net.json).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -40,6 +48,7 @@
 #include <vector>
 
 #include "api/lash_api.h"
+#include "core/match.h"
 #include "datagen/corpus_recipes.h"
 #include "io/result_io.h"
 #include "net/client.h"
@@ -49,6 +58,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/mining_service.h"
+#include "serve/support_count.h"
 #include "serve/task_spec.h"
 #include "util/timer.h"
 
@@ -116,6 +126,74 @@ std::string CanonicalBytes(const NamedPatternList& patterns) {
   std::string bytes;
   EncodeNamedPatterns(&bytes, patterns);
   return bytes;
+}
+
+/// The router's phase-1 candidate union for `spec` over `shards`: each
+/// shard mined at the pigeonhole bound σ′=⌈σ/k⌉ without top-k, named,
+/// deduplicated by item names.
+NamedPatternList UnionCandidates(const std::vector<const Dataset*>& shards,
+                                 const TaskSpec& spec) {
+  const Frequency k = shards.size();
+  TaskSpec shard_spec = spec;
+  shard_spec.params.sigma =
+      std::max<Frequency>(1, (spec.params.sigma + k - 1) / k);
+  shard_spec.top_k = 0;
+  std::map<std::vector<std::string>, NamedPattern> merged;
+  for (const Dataset* shard : shards) {
+    RunResult run;
+    const PatternMap patterns = serve::MakeTask(*shard, shard_spec).Mine(&run);
+    for (NamedPattern& pattern :
+         NamePatterns(*shard, patterns, run.used_flat_hierarchy)) {
+      pattern.frequency = 0;
+      merged.emplace(pattern.items, std::move(pattern));
+    }
+  }
+  NamedPatternList candidates;
+  for (auto& [items, pattern] : merged) candidates.push_back(std::move(pattern));
+  return candidates;
+}
+
+/// The counting the trie kernel replaced, kept bench-local as its
+/// baseline: per candidate, decode the names and scan the whole shard with
+/// one Matches call per transaction.
+std::vector<Frequency> PerCandidateCounts(const Dataset& dataset,
+                                          const NamedPatternList& candidates,
+                                          const serve::CountQuery& query) {
+  const PreprocessResult& pre =
+      query.flat ? dataset.flat_preprocessed() : dataset.preprocessed();
+  std::vector<Frequency> supports(candidates.size(), 0);
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const NamedPattern& candidate = candidates[c];
+    if (candidate.items.empty() || candidate.items.size() > query.lambda) {
+      continue;
+    }
+    Sequence ranks;
+    for (const std::string& name : candidate.items) {
+      const ItemId rank = dataset.RankOfName(name, query.flat);
+      if (rank == kInvalidItem) break;
+      ranks.push_back(rank);
+    }
+    if (ranks.size() != candidate.items.size()) continue;
+    for (size_t t = 0; t < pre.database.size(); ++t) {
+      if (Matches(ranks, pre.database[t], pre.hierarchy, query.gamma)) {
+        ++supports[c];
+      }
+    }
+  }
+  return supports;
+}
+
+/// Best of `reps` wall-clock runs of `fn`, in ms.
+template <typename Fn>
+double BestMs(int reps, Fn fn) {
+  double best = 0;
+  for (int r = 0; r < reps; ++r) {
+    Stopwatch clock;
+    fn();
+    const double ms = clock.ElapsedMs();
+    if (r == 0 || ms < best) best = ms;
+  }
+  return best;
 }
 
 double Avg(const std::vector<double>& xs) {
@@ -250,6 +328,37 @@ int Main(int argc, char** argv) {
     }
   }
 
+  // --- Count kernel vs the per-candidate scan, on one shard. ---
+  // Summed over the stream's union candidate lists, best of 3 per side;
+  // the counts must agree candidate by candidate.
+  bool count_kernel_parity = true;
+  double kernel_ms = 0, per_candidate_ms = 0;
+  size_t kernel_candidates = 0;
+  for (const TaskSpec& spec : stream) {
+    const NamedPatternList candidates =
+        UnionCandidates({shard0.get(), shard1.get()}, spec);
+    kernel_candidates += candidates.size();
+    const serve::CountQuery query{
+        spec.params.gamma, spec.params.lambda,
+        spec.flat || spec.algorithm == Algorithm::kMgFsm};
+    std::vector<Frequency> kernel, baseline;
+    kernel_ms += BestMs(3, [&] {
+      kernel = serve::CountSupports(*shard0, candidates, query);
+    });
+    per_candidate_ms += BestMs(3, [&] {
+      baseline = PerCandidateCounts(*shard0, candidates, query);
+    });
+    if (kernel != baseline) {
+      std::fprintf(stderr, "COUNT KERNEL PARITY FAILURE (%zu candidates)\n",
+                   candidates.size());
+      count_kernel_parity = false;
+    }
+  }
+  const double count_kernel_speedup =
+      kernel_ms > 0 ? per_candidate_ms / kernel_ms : 0;
+  // Gated at full size only: on the smoke corpus both sides take a few ms.
+  const bool kernel_speedup_ok = smoke || count_kernel_speedup >= 5.0;
+
   // --- Router over two shard workers: legacy one-phase wave first. ---
   net::ServiceBackend shard_backend0({shard0.get()}, ServiceOptions{});
   net::ServiceBackend shard_backend1({shard1.get()}, ServiceOptions{});
@@ -330,12 +439,19 @@ int Main(int argc, char** argv) {
               twophase_avg, count_phase_avg_ms, candidate_count,
               twophase_avg > 0 ? router_avg / twophase_avg : 0.0,
               smoke ? "" : (speedup_ok ? ", gate ok" : ", GATE FAILED"));
+  std::printf("count      : kernel %.2fms vs per-candidate scan %.2fms on "
+              "%zu union candidates, one shard — %.1fx%s\n",
+              kernel_ms, per_candidate_ms, kernel_candidates,
+              count_kernel_speedup,
+              smoke ? "" : (kernel_speedup_ok ? ", gate ok" : ", GATE FAILED"));
   std::printf("parity     : worker %s, traced %s, router %s, stats rpc %s, "
               "metrics rpc %s (%zu samples)\n",
               single_worker_parity ? "ok" : "FAILED",
               traced_parity ? "ok" : "FAILED",
               router_parity ? "ok" : "FAILED", stats_ok ? "ok" : "FAILED",
               metrics_rpc_ok ? "ok" : "FAILED", metrics.size());
+  std::printf("             count kernel %s\n",
+              count_kernel_parity ? "ok" : "FAILED");
   std::fflush(stdout);
 
   std::FILE* f = std::fopen(out.c_str(), "w");
@@ -355,6 +471,11 @@ int Main(int argc, char** argv) {
       "  \"router_scatter_twophase_avg_ms\": %.4f,\n"
       "  \"count_phase_avg_ms\": %.4f,\n"
       "  \"candidate_count\": %.0f,\n"
+      "  \"count_kernel_ms\": %.4f,\n"
+      "  \"count_per_candidate_ms\": %.4f,\n"
+      "  \"count_kernel_speedup\": %.3f,\n"
+      "  \"count_kernel_parity\": %s,\n"
+      "  \"count_kernel_speedup_ok\": %s,\n"
       "  \"net_all_hits\": %s,\n  \"stats_rpc_ok\": %s,\n"
       "  \"metrics_rpc_ok\": %s,\n  \"single_worker_parity\": %s,\n"
       "  \"traced_parity\": %s,\n  \"router_parity\": %s,\n"
@@ -363,6 +484,9 @@ int Main(int argc, char** argv) {
       Avg(local_cold_ms), local_hit_avg, Avg(net_cold_ms), net_hit_avg,
       net_hit_overhead_ms, traced_hit_avg, trace_hit_overhead_ms,
       router_avg, twophase_avg, count_phase_avg_ms, candidate_count,
+      kernel_ms, per_candidate_ms, count_kernel_speedup,
+      count_kernel_parity ? "true" : "false",
+      kernel_speedup_ok ? "true" : "false",
       net_all_hits ? "true" : "false",
       stats_ok ? "true" : "false", metrics_rpc_ok ? "true" : "false",
       single_worker_parity ? "true" : "false",
@@ -372,7 +496,8 @@ int Main(int argc, char** argv) {
   std::printf("wrote %s\n", out.c_str());
 
   if (!single_worker_parity || !traced_parity || !router_parity ||
-      !net_all_hits || !stats_ok || !metrics_rpc_ok || !speedup_ok) {
+      !net_all_hits || !stats_ok || !metrics_rpc_ok || !speedup_ok ||
+      !count_kernel_parity || !kernel_speedup_ok) {
     std::fprintf(stderr, "bench_net: CHECKS FAILED\n");
     return 1;
   }

@@ -12,6 +12,14 @@
 
 namespace lash::net {
 
+namespace {
+
+/// Transactions per count-phase work unit: the grain of the counting
+/// pool's ParallelFor and of the deadline check.
+constexpr size_t kCountBlock = 128;
+
+}  // namespace
+
 ServiceBackend::ServiceBackend(std::vector<const Dataset*> shards,
                                serve::ServiceOptions options)
     : shards_(std::move(shards)) {
@@ -44,11 +52,13 @@ void ServiceBackend::Handle(std::string_view payload, Reply reply) {
     }
     if (count_requests_ != nullptr) count_requests_->Add();
     counts_inflight_.fetch_add(1, std::memory_order_relaxed);
-    count_pool_->Submit(
-        [this, request = std::move(request), reply = std::move(reply)] {
-          RunCount(request, reply);
-          counts_inflight_.fetch_sub(1, std::memory_order_relaxed);
-        });
+    // The deadline runs from receipt, so time queued for the pool counts.
+    count_pool_->Submit([this, received = Stopwatch(),
+                         request = std::move(request),
+                         reply = std::move(reply)] {
+      RunCount(request, received, reply);
+      counts_inflight_.fetch_sub(1, std::memory_order_relaxed);
+    });
     return;
   }
   if (type != MessageType::kMineRequest &&
@@ -77,24 +87,36 @@ size_t ServiceBackend::InFlight() const {
 }
 
 void ServiceBackend::RunCount(const CountRequest& request,
-                              const Reply& reply) {
+                              const Stopwatch& received, const Reply& reply) {
   try {
-    Stopwatch watch;
     obs::Span span(&obs::Tracer::Global(), request.trace, "serve.count");
     span.Tag("candidates", static_cast<double>(request.candidates.size()));
     span.Tag("shard", static_cast<double>(request.shard));
-    const Dataset& dataset = *shards_[request.shard];
-    const serve::CountQuery query{request.gamma, request.lambda,
-                                  request.flat};
-    std::vector<Frequency> supports(request.candidates.size(), 0);
+    const serve::SupportCounter counter(
+        *shards_[request.shard], request.candidates,
+        serve::CountQuery{request.gamma, request.lambda, request.flat});
+    const size_t transactions = counter.num_transactions();
+    span.Tag("transactions", static_cast<double>(transactions));
+    span.Tag("trie_nodes", static_cast<double>(counter.trie_nodes()));
+    // One partial count vector per participating thread: the calling pool
+    // worker and every helper run whole blocks, and the partials are summed
+    // once the loop is done.
+    const size_t slots = count_pool_->num_threads() + 1;
+    std::vector<std::vector<Frequency>> partials(slots);
     std::atomic<bool> expired{false};
-    count_pool_->ParallelFor(request.candidates.size(), [&](size_t c) {
-      if (request.deadline_ms > 0 && watch.ElapsedMs() >= request.deadline_ms) {
+    const size_t blocks = (transactions + kCountBlock - 1) / kCountBlock;
+    count_pool_->ParallelFor(blocks, [&](size_t b) {
+      if (request.deadline_ms > 0 &&
+          received.ElapsedMs() >= request.deadline_ms) {
         expired.store(true, std::memory_order_relaxed);
       }
       if (expired.load(std::memory_order_relaxed)) return;
-      const NamedPatternList one{request.candidates[c]};
-      supports[c] = serve::CountSupports(dataset, one, query)[0];
+      std::vector<Frequency>& partial =
+          partials[std::min(ThreadPool::CurrentIndex(), slots - 1)];
+      partial.resize(counter.num_candidates(), 0);
+      const size_t begin = b * kCountBlock;
+      counter.CountRange(begin, std::min(transactions, begin + kCountBlock),
+                         partial);
     });
     if (expired.load(std::memory_order_relaxed)) {
       span.Tag("outcome", "deadline_exceeded");
@@ -104,8 +126,13 @@ void ServiceBackend::RunCount(const CountRequest& request,
       return;
     }
     CountResponse response;
-    response.supports = std::move(supports);
-    response.server_ms = watch.ElapsedMs();
+    response.supports.assign(counter.num_candidates(), 0);
+    for (const std::vector<Frequency>& partial : partials) {
+      for (size_t c = 0; c < partial.size(); ++c) {
+        response.supports[c] += partial[c];
+      }
+    }
+    response.server_ms = received.ElapsedMs();
     // The span covers the counting, not the send — and ending it before the
     // reply means a tracer collecting in-process has the span once the
     // client sees the answer.

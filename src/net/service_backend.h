@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "serve/mining_service.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace lash::net {
 
@@ -29,10 +30,10 @@ namespace lash::net {
 /// decoded to item names in canonical wire order — and fires the Reply,
 /// which wakes the epoll loop. A count request (phase 2 of the router's
 /// two-phase protocol) is likewise handed off — to a backend-owned counting
-/// pool that parallelizes over candidates (serve/support_count.h) and fires
-/// the Reply from a pool thread. Stats and metrics requests answer
-/// synchronously; v2/v3 mine requests carry a trace context that flows into
-/// the service's serve.* spans unchanged.
+/// pool that parallelizes over transaction blocks (serve/support_count.h)
+/// and fires the Reply from a pool thread. Stats and metrics requests
+/// answer synchronously; v2/v3 mine requests carry a trace context that
+/// flows into the service's serve.* spans unchanged.
 class ServiceBackend : public Backend {
  public:
   /// Borrows the shards (which must outlive the backend). `options` are
@@ -59,11 +60,13 @@ class ServiceBackend : public Backend {
   /// Serializes one resolved request into its reply payload.
   std::string BuildReplyPayload(const Pending& pending);
 
-  /// Runs on a counting-pool thread: exact per-candidate supports via
-  /// serve::CountSupports, parallelized over candidates with the pool's
-  /// ParallelFor (safe from inside a pool task — the calling thread
-  /// participates). The deadline is checked between candidates.
-  void RunCount(const CountRequest& request, const Reply& reply);
+  /// Runs on a counting-pool thread: exact per-candidate supports from one
+  /// serve::SupportCounter, parallelized over fixed-size transaction blocks
+  /// with the pool's ParallelFor (safe from inside a pool task — the
+  /// calling thread participates). The deadline, measured from `received`,
+  /// is checked before each block.
+  void RunCount(const CountRequest& request, const Stopwatch& received,
+                const Reply& reply);
 
   std::vector<const Dataset*> shards_;
 

@@ -184,7 +184,8 @@ struct CountRequest {
   obs::TraceContext trace{};
   /// Which Dataset shard of the worker answers (0 for single-shard workers).
   size_t shard = 0;
-  /// Milliseconds from receipt (0 = none); checked between candidates.
+  /// Milliseconds from receipt (0 = none); checked before each block of
+  /// transactions the worker counts.
   double deadline_ms = 0;
   /// Count in the flat rank space (the canonicalized `flat || MgFsm` bit
   /// of the mine spec, i.e. RunResult::used_flat_hierarchy).

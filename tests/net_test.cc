@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "api/lash_api.h"
+#include "datagen/corpus_recipes.h"
 #include "io/io_error.h"
 #include "io/result_io.h"
 #include "net/client.h"
@@ -26,6 +27,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "serve/mining_service.h"
+#include "serve/support_count.h"
 #include "serve/task_spec.h"
 #include "test_util.h"
 
@@ -483,7 +485,7 @@ class NetLoopbackTest : public ::testing::Test {
   /// baseline both network paths must reproduce exactly.
   std::string BaselineBytes(const TaskSpec& spec) {
     serve::MiningService service(dataset_);
-    const serve::Response& response = service.Submit(spec).Get();
+    const serve::Response response = service.Submit(spec).Get();
     std::string bytes;
     EncodeNamedPatterns(&bytes,
                         NamePatterns(dataset_, response.patterns(),
@@ -649,7 +651,7 @@ TEST_F(NetLoopbackTest, PigeonholeBoundIsLoadBearing) {
 
   // The union answer, exactly: in-process parity over the union corpus.
   serve::MiningService service(u);
-  const serve::Response& baseline = service.Submit(spec).Get();
+  const serve::Response baseline = service.Submit(spec).Get();
   std::string baseline_bytes;
   EncodeNamedPatterns(&baseline_bytes,
                       NamePatterns(u, baseline.patterns(),
@@ -692,6 +694,97 @@ TEST_F(NetLoopbackTest, PigeonholeBoundIsLoadBearing) {
   pigeonhole.shard_sigma = 2;
   const MineReply same = client.Mine(pigeonhole);
   EXPECT_EQ(Bytes(same.patterns), baseline_bytes);
+}
+
+TEST(NetCountTest, ConcurrentCountsSplitAcrossThePoolExactly) {
+  // A shard of several hundred transactions spans several count blocks,
+  // so each request's blocks run on more than one counting-pool thread;
+  // two clients keep two requests in the pool at once. Every reply must
+  // equal the single-threaded in-process count.
+  NytRecipe recipe;
+  recipe.sentences = 600;
+  recipe.lemmas = 200;
+  GeneratedText data = MakeNytCorpus(recipe);
+  const Dataset dataset =
+      Dataset::FromMemory(std::move(data.database), std::move(data.vocabulary),
+                          std::move(data.hierarchy));
+  CountRequest request;
+  request.gamma = 1;
+  request.lambda = 3;
+  request.candidates = NamePatterns(
+      dataset,
+      MiningTask(dataset).WithParams({.sigma = 10, .gamma = 1, .lambda = 3})
+          .Mine(),
+      /*flat=*/false);
+  ASSERT_GT(request.candidates.size(), 50u);
+  const std::vector<Frequency> expected = serve::CountSupports(
+      dataset, request.candidates, serve::CountQuery{1, 3, false});
+
+  ServiceBackend backend({&dataset}, serve::ServiceOptions{});
+  TestServer server(&backend);
+  auto run_client = [&] {
+    NetClient client("127.0.0.1", server.port());
+    std::vector<std::vector<Frequency>> replies;
+    for (int i = 0; i < 3; ++i) {
+      replies.push_back(client.Count(request).supports);
+    }
+    return replies;
+  };
+  std::future<std::vector<std::vector<Frequency>>> other =
+      std::async(std::launch::async, run_client);
+  const std::vector<std::vector<Frequency>> mine = run_client();
+  for (const std::vector<Frequency>& supports : mine) {
+    EXPECT_EQ(supports, expected);
+  }
+  for (const std::vector<Frequency>& supports : other.get()) {
+    EXPECT_EQ(supports, expected);
+  }
+}
+
+TEST_F(NetLoopbackTest, SpentCountDeadlineIsTypedAndTheWorkerKeepsServing) {
+  // A count request whose deadline is spent on arrival: the worker checks
+  // it before its first transaction block and answers with a typed
+  // kDeadlineExceeded. The same connection then gets the undeadlined
+  // request counted — traced, so the serve.count span's work tags show —
+  // and a mine served.
+  ServiceBackend backend({&dataset_}, serve::ServiceOptions{});
+  TestServer server(&backend);
+  NetClient client("127.0.0.1", server.port());
+
+  CountRequest request;
+  request.gamma = 1;
+  request.lambda = 3;
+  request.candidates = {{{"a", "B"}, 0}, {{"a", "B", "c"}, 0}};
+  request.deadline_ms = 1e-6;  // One nanosecond after receipt.
+  try {
+    client.Count(request);
+    FAIL() << "counted past a spent deadline";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ServeErrorCode::kDeadlineExceeded);
+  }
+
+  request.deadline_ms = 0;
+  request.trace = obs::TraceContext{obs::TraceId::Make(), 0};
+  obs::Tracer::Global().StartCollecting();
+  const CountReply reply = client.Count(request);
+  const std::vector<obs::SpanRecord> spans =
+      obs::Tracer::Global().TakeCollected();
+  obs::Tracer::Global().StopCollecting();
+  // Supports of {a, B} and {a, B, c} in the paper corpus at γ=1.
+  EXPECT_EQ(reply.supports, (std::vector<Frequency>{3, 2}));
+
+  std::map<std::string, std::string> tags;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name == "serve.count") {
+      tags.insert(span.tags.begin(), span.tags.end());
+    }
+  }
+  EXPECT_EQ(tags["outcome"], "ok");
+  EXPECT_EQ(tags["transactions"], "6");
+  EXPECT_EQ(tags["trie_nodes"], "4");  // root, a, a→B, a→B→c
+
+  EXPECT_GT(client.Mine(PaperSpec(Algorithm::kSequential)).patterns.size(),
+            0u);
 }
 
 TEST_F(NetLoopbackTest, MetricsRpcExposesServiceAndServerInstruments) {
