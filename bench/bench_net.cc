@@ -27,8 +27,9 @@
 // Asserts byte-identical canonical pattern streams (EncodeNamedPatterns
 // bytes) between the in-process run and both network paths — the loopback
 // worker AND the 2-shard router, both modes (including a top-k re-cut
-// query) — plus count-kernel vs per-candidate-scan count parity and a
-// working stats RPC, and writes BENCH_net.json.
+// query) — plus count-kernel vs per-candidate-scan count parity and the
+// worker's request counters over the metrics RPC (stats_rpc_ok), and
+// writes BENCH_net.json.
 //
 // The epoll server is Linux-only; elsewhere the bench reports "skipped"
 // and exits 0 so the gate stays portable.
@@ -291,16 +292,30 @@ int Main(int argc, char** argv) {
       single_worker_parity = false;
     }
   }
-  const serve::ServiceStats worker_stats = client.Stats();
-  const bool stats_ok = worker_stats.submitted >= 2 * stream.size() &&
-                        worker_stats.hits >= stream.size();
 
-  // --- v2 traced hits: what trace context costs on the wire. ---
-  // Same all-hits wave, but every request carries a fresh trace id (the
-  // kMineRequestV2 frame) and the worker — sharing this process's global
-  // tracer — records every serve-pipeline span to a JSONL file. The delta
-  // against the v1 hit wave is the full per-request instrumentation tax:
-  // 24 extra header bytes, span bookkeeping, and the fflush per span.
+  // --- Metrics RPC: the worker's counters answer over the wire. ---
+  // stats_ok: both waves reached the service and the second one hit.
+  // metrics_rpc_ok: the snapshot carries the service's instruments at all.
+  const std::vector<obs::MetricSample> metrics = client.Metrics();
+  double worker_submitted = -1, worker_hits = -1;
+  for (const obs::MetricSample& sample : metrics) {
+    if (sample.name == "serve.requests.submitted") {
+      worker_submitted = sample.value;
+    }
+    if (sample.name == "serve.requests.hits") worker_hits = sample.value;
+  }
+  const bool stats_ok =
+      worker_submitted >= 2.0 * static_cast<double>(stream.size()) &&
+      worker_hits >= static_cast<double>(stream.size());
+  const bool metrics_rpc_ok = worker_submitted >= 1.0;
+
+  // --- Traced hits: what span recording costs. ---
+  // Same all-hits wave, but every request carries a fresh trace id and the
+  // worker — sharing this process's global tracer — records every
+  // serve-pipeline span to a JSONL file. Traced and untraced requests send
+  // the same mine-request frame (an untraced one carries 24 zero trace
+  // bytes), so the delta against the untraced hit wave is span bookkeeping
+  // and the fflush per span only.
   const std::string trace_path = out + ".trace.jsonl";
   obs::Tracer::Global().OpenFile(trace_path);
   bool traced_parity = true;
@@ -318,15 +333,6 @@ int Main(int argc, char** argv) {
   }
   obs::Tracer::Global().CloseFile();
   std::remove(trace_path.c_str());
-
-  // --- Metrics RPC: the live stats surface answers over the wire. ---
-  const std::vector<obs::MetricSample> metrics = client.Metrics();
-  bool metrics_rpc_ok = false;
-  for (const obs::MetricSample& sample : metrics) {
-    if (sample.name == "serve.requests.submitted" && sample.value >= 1.0) {
-      metrics_rpc_ok = true;
-    }
-  }
 
   // --- Count kernel vs the per-candidate scan, on one shard. ---
   // Summed over the stream's union candidate lists, best of 3 per side;
@@ -422,7 +428,7 @@ int Main(int argc, char** argv) {
               "(net hit overhead %.4fms), all hits %s\n",
               Avg(net_cold_ms), net_hit_avg, net_hit_overhead_ms,
               net_all_hits ? "yes" : "NO");
-  std::printf("tracing    : v2 traced hit avg %.4fms "
+  std::printf("tracing    : traced hit avg %.4fms "
               "(trace overhead %+.4fms per request)\n",
               traced_hit_avg, trace_hit_overhead_ms);
   const double router_avg = Avg(router_ms);

@@ -236,90 +236,58 @@ std::string NetClient::Exchange(const std::string& payload) {
   }
 }
 
-MineReply NetClient::Mine(const serve::TaskSpec& spec) {
-  const double start_ms = NowMs();
-  const std::string payload =
-      Exchange(spec.shard_sigma != 0 ? EncodeMineRequestV3(spec)
-               : spec.trace.active() ? EncodeMineRequestV2(spec)
-                                     : EncodeMineRequest(spec));
-  MineReply reply;
+template <typename Decode>
+auto NetClient::Call(const std::string& request, MessageType expected,
+                     const char* what, Decode decode) {
+  const std::string payload = Exchange(request);
   try {
     const MessageType type = PeekMessageType(payload);
     if (type == MessageType::kErrorResponse) {
       const ErrorResponse error = DecodeErrorResponse(payload);
       throw ServeError(error.code, error.message);
     }
-    if (type != MessageType::kMineResponse) {
+    if (type != expected) {
       throw ServeError(ServeErrorCode::kExecutionFailed,
-                       "unexpected response message type");
+                       std::string("unexpected message type in place of ") +
+                           what);
     }
-    MineResponse response = DecodeMineResponse(payload);
-    reply.run = std::move(response.run);
-    reply.patterns = std::move(response.patterns);
-    reply.cache_hit = response.cache_hit;
-    reply.coalesced = response.coalesced;
-    reply.server_ms = response.server_ms;
+    return decode(payload);
   } catch (const IoError& e) {
     throw ServeError(ServeErrorCode::kExecutionFailed,
-                     std::string("malformed mine response: ") + e.what());
+                     std::string("malformed ") + what + ": " + e.what());
   }
+}
+
+MineReply NetClient::Mine(const serve::TaskSpec& spec) {
+  const double start_ms = NowMs();
+  MineResponse response = Call(EncodeMineRequest(spec),
+                               MessageType::kMineResponse, "mine response",
+                               DecodeMineResponse);
+  MineReply reply;
+  reply.run = std::move(response.run);
+  reply.patterns = std::move(response.patterns);
+  reply.cache_hit = response.cache_hit;
+  reply.coalesced = response.coalesced;
+  reply.server_ms = response.server_ms;
   reply.round_trip_ms = NowMs() - start_ms;
   return reply;
 }
 
 CountReply NetClient::Count(const CountRequest& request) {
   const double start_ms = NowMs();
-  const std::string payload = Exchange(EncodeCountRequest(request));
+  CountResponse response = Call(EncodeCountRequest(request),
+                                MessageType::kCountResponse, "count response",
+                                DecodeCountResponse);
   CountReply reply;
-  try {
-    const MessageType type = PeekMessageType(payload);
-    if (type == MessageType::kErrorResponse) {
-      const ErrorResponse error = DecodeErrorResponse(payload);
-      throw ServeError(error.code, error.message);
-    }
-    if (type != MessageType::kCountResponse) {
-      throw ServeError(ServeErrorCode::kExecutionFailed,
-                       "unexpected response message type");
-    }
-    CountResponse response = DecodeCountResponse(payload);
-    reply.supports = std::move(response.supports);
-    reply.server_ms = response.server_ms;
-  } catch (const IoError& e) {
-    throw ServeError(ServeErrorCode::kExecutionFailed,
-                     std::string("malformed count response: ") + e.what());
-  }
+  reply.supports = std::move(response.supports);
+  reply.server_ms = response.server_ms;
   reply.round_trip_ms = NowMs() - start_ms;
   return reply;
 }
 
-serve::ServiceStats NetClient::Stats() {
-  const std::string payload = Exchange(EncodeStatsRequest());
-  try {
-    const MessageType type = PeekMessageType(payload);
-    if (type == MessageType::kErrorResponse) {
-      const ErrorResponse error = DecodeErrorResponse(payload);
-      throw ServeError(error.code, error.message);
-    }
-    return DecodeStatsResponse(payload);
-  } catch (const IoError& e) {
-    throw ServeError(ServeErrorCode::kExecutionFailed,
-                     std::string("malformed stats response: ") + e.what());
-  }
-}
-
 std::vector<obs::MetricSample> NetClient::Metrics() {
-  const std::string payload = Exchange(EncodeMetricsRequest());
-  try {
-    const MessageType type = PeekMessageType(payload);
-    if (type == MessageType::kErrorResponse) {
-      const ErrorResponse error = DecodeErrorResponse(payload);
-      throw ServeError(error.code, error.message);
-    }
-    return DecodeMetricsResponse(payload);
-  } catch (const IoError& e) {
-    throw ServeError(ServeErrorCode::kExecutionFailed,
-                     std::string("malformed metrics response: ") + e.what());
-  }
+  return Call(EncodeMetricsRequest(), MessageType::kMetricsResponse,
+              "metrics response", DecodeMetricsResponse);
 }
 
 #else  // !__unix__
@@ -337,11 +305,6 @@ MineReply NetClient::Mine(const serve::TaskSpec&) {
 }
 
 CountReply NetClient::Count(const CountRequest&) {
-  throw ServeError(ServeErrorCode::kExecutionFailed,
-                   "lash::net requires a POSIX platform");
-}
-
-serve::ServiceStats NetClient::Stats() {
   throw ServeError(ServeErrorCode::kExecutionFailed,
                    "lash::net requires a POSIX platform");
 }

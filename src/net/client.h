@@ -64,22 +64,17 @@ class NetClient {
   NetClient& operator=(const NetClient&) = delete;
 
   /// Mines `spec` remotely and returns the decoded reply. The spec's
-  /// deadline travels with the request (the server enforces it too). A spec
-  /// with a shard-σ override (`spec.shard_sigma != 0`) is sent as
-  /// kMineRequestV3; otherwise a spec carrying an active trace id is sent
-  /// as kMineRequestV2 (the trace context crosses the wire); otherwise the
-  /// v1 encoding is used, byte-identical to a pre-PR-9 client.
+  /// deadline, trace context and shard-σ override travel with the request
+  /// as one kMineRequest (the server enforces the deadline too).
   MineReply Mine(const serve::TaskSpec& spec);
 
   /// Counts the exact supports of `request.candidates` on the remote shard
   /// (the kCountRequest RPC). Same typed-failure contract as Mine.
   CountReply Count(const CountRequest& request);
 
-  /// Fetches the remote service's counters.
-  serve::ServiceStats Stats();
-
   /// Fetches the remote process's full metrics snapshot (the
-  /// kMetricsRequest RPC), sorted by metric name.
+  /// kMetricsRequest RPC), sorted by metric name — the serving tier's one
+  /// telemetry path.
   std::vector<obs::MetricSample> Metrics();
 
   /// Drops the connection; the next call reconnects.
@@ -92,6 +87,14 @@ class NetClient {
   /// Ensures a live connection (connect + retries) and performs one framed
   /// request/response exchange. Throws ServeError.
   std::string Exchange(const std::string& payload);
+
+  /// Exchanges `request` and decodes a reply of type `expected` with
+  /// `decode`. A kErrorResponse is rethrown as its ServeError; any other
+  /// type, or an IoError while decoding, throws kExecutionFailed naming
+  /// `what`.
+  template <typename Decode>
+  auto Call(const std::string& request, MessageType expected,
+            const char* what, Decode decode);
 
   void EnsureConnected();
   void SendAll(const std::string& bytes);

@@ -43,34 +43,13 @@ RouterBackend::~RouterBackend() { pool_->Wait(); }
 
 void RouterBackend::Handle(std::string_view payload, Reply reply) {
   const MessageType type = PeekMessageType(payload);
-  if (type == MessageType::kStatsRequest) {
-    // Stats fan out to every worker — too slow for the event loop.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++inflight_;
-    }
-    pool_->Submit([this, reply] {
-      std::string answer;
-      try {
-        answer = EncodeStatsResponse(AggregateStats());
-      } catch (const ServeError& e) {
-        answer = EncodeErrorResponse(e.code(), e.what());
-      }
-      reply.Send(std::move(answer));
-      std::lock_guard<std::mutex> lock(mu_);
-      --inflight_;
-    });
-    return;
-  }
   if (type == MessageType::kMetricsRequest) {
     reply.Send(EncodeMetricsResponse(options_.metrics != nullptr
                                          ? options_.metrics->Snapshot()
                                          : std::vector<obs::MetricSample>{}));
     return;
   }
-  if (type != MessageType::kMineRequest &&
-      type != MessageType::kMineRequestV2 &&
-      type != MessageType::kMineRequestV3) {
+  if (type != MessageType::kMineRequest) {
     throw IoError(IoErrorKind::kMalformed, 0,
                   "router received a non-request message");
   }
@@ -168,7 +147,7 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
 
   // Phase 1: scatter the mine at σ′ and un-truncated (top-k re-cut after
   // the merge). The per-request shard_sigma override is consumed here — it
-  // is router-level routing state, so the worker legs stay v1/v2 traffic
+  // is router-level routing state, so the worker legs carry shard_sigma = 0
   // and the worker's answer stays cacheable under its own canonical key.
   serve::TaskSpec shard_spec = spec;
   shard_spec.params.sigma = sigma_prime;
@@ -406,52 +385,6 @@ MineResponse RouterBackend::Scatter(const serve::TaskSpec& spec) {
   scatter_span.End();
   maybe_log_slow("ok", candidates.size(), count_ms);
   return response;
-}
-
-serve::ServiceStats RouterBackend::AggregateStats() {
-  serve::ServiceStats total;
-  bool first = true;
-  for (auto& slot : workers_) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    if (!slot->client) {
-      slot->client = std::make_unique<NetClient>(
-          slot->address.host, slot->address.port, options_.client);
-    }
-    const serve::ServiceStats stats = slot->client->Stats();
-    total.submitted += stats.submitted;
-    total.hits += stats.hits;
-    total.misses += stats.misses;
-    total.coalesced += stats.coalesced;
-    total.invalid += stats.invalid;
-    total.completed += stats.completed;
-    total.rejected += stats.rejected;
-    total.cancelled += stats.cancelled;
-    total.deadline_expired += stats.deadline_expired;
-    total.failed += stats.failed;
-    total.executions += stats.executions;
-    total.cache_entries += stats.cache_entries;
-    total.cache_bytes += stats.cache_bytes;
-    total.cache_evictions += stats.cache_evictions;
-    total.cache_oversized_rejects += stats.cache_oversized_rejects;
-    total.queue_depth += stats.queue_depth;
-    if (first) {
-      total.hit_p50_ms = stats.hit_p50_ms;
-      total.hit_p95_ms = stats.hit_p95_ms;
-      total.hit_mean_ms = stats.hit_mean_ms;
-      total.mine_p50_ms = stats.mine_p50_ms;
-      total.mine_p95_ms = stats.mine_p95_ms;
-      total.mine_mean_ms = stats.mine_mean_ms;
-      first = false;
-    } else {
-      total.hit_p50_ms = std::max(total.hit_p50_ms, stats.hit_p50_ms);
-      total.hit_p95_ms = std::max(total.hit_p95_ms, stats.hit_p95_ms);
-      total.hit_mean_ms = std::max(total.hit_mean_ms, stats.hit_mean_ms);
-      total.mine_p50_ms = std::max(total.mine_p50_ms, stats.mine_p50_ms);
-      total.mine_p95_ms = std::max(total.mine_p95_ms, stats.mine_p95_ms);
-      total.mine_mean_ms = std::max(total.mine_mean_ms, stats.mine_mean_ms);
-    }
-  }
-  return total;
 }
 
 }  // namespace lash::net

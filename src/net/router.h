@@ -86,14 +86,10 @@ class RouterBackend : public Backend {
   /// callable in-process; bench_net uses this directly). A spec carrying an
   /// active trace context opens a router.scatter span under it, one
   /// router.leg span per worker (whose context travels to that worker as
-  /// the leg's kMineRequestV2 parent), one router.count span per count leg
+  /// the leg's kMineRequest parent), one router.count span per count leg
   /// when the two-phase count runs, and a router.merge span over the
   /// reduction — the cross-process halves of one merged trace tree.
   MineResponse Scatter(const serve::TaskSpec& spec);
-
-  /// Sums the workers' counters (latency percentiles take the max — a
-  /// cross-worker percentile cannot be reconstructed from percentiles).
-  serve::ServiceStats AggregateStats();
 
  private:
   struct WorkerSlot {

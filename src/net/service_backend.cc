@@ -35,10 +35,6 @@ ServiceBackend::ServiceBackend(std::vector<const Dataset*> shards,
 
 void ServiceBackend::Handle(std::string_view payload, Reply reply) {
   const MessageType type = PeekMessageType(payload);
-  if (type == MessageType::kStatsRequest) {
-    reply.Send(EncodeStatsResponse(service_->Stats()));
-    return;
-  }
   if (type == MessageType::kMetricsRequest) {
     reply.Send(EncodeMetricsResponse(service_->metrics().Snapshot()));
     return;
@@ -61,9 +57,7 @@ void ServiceBackend::Handle(std::string_view payload, Reply reply) {
     });
     return;
   }
-  if (type != MessageType::kMineRequest &&
-      type != MessageType::kMineRequestV2 &&
-      type != MessageType::kMineRequestV3) {
+  if (type != MessageType::kMineRequest) {
     // Responses (or anything else) arriving at a server are a protocol
     // violation; throwing makes the event loop close the connection.
     throw IoError(IoErrorKind::kMalformed, 0,

@@ -31,9 +31,9 @@ namespace lash::net {
 /// which wakes the epoll loop. A count request (phase 2 of the router's
 /// two-phase protocol) is likewise handed off — to a backend-owned counting
 /// pool that parallelizes over transaction blocks (serve/support_count.h)
-/// and fires the Reply from a pool thread. Stats and metrics requests
-/// answer synchronously; v2/v3 mine requests carry a trace context that
-/// flows into the service's serve.* spans unchanged.
+/// and fires the Reply from a pool thread. Metrics requests answer
+/// synchronously; a mine request's trace context flows into the service's
+/// serve.* spans unchanged.
 class ServiceBackend : public Backend {
  public:
   /// Borrows the shards (which must outlive the backend). `options` are

@@ -32,7 +32,7 @@ void AppendPayloadHeader(std::string* out, MessageType type) {
   out->push_back(static_cast<char>(type));
 }
 
-/// The 24-byte trace header shared by kMineRequestV2/V3 and kCountRequest:
+/// The 24-byte trace header shared by kMineRequest and kCountRequest:
 /// 16-byte trace id + 8-byte LE parent span. An inactive context encodes
 /// as 24 zero bytes and decodes back inactive.
 void AppendTraceContext(std::string* out, const obs::TraceContext& trace) {
@@ -51,7 +51,7 @@ obs::TraceContext ReadTraceContext(ByteReader& reader) {
 }
 
 /// Consumes and validates the payload header, returning a reader positioned
-/// at the body. `expected` rejects a payload of the wrong type (a stats
+/// at the body. `expected` rejects a payload of the wrong type (a metrics
 /// reply arriving where a mine reply was awaited is a protocol error, not
 /// something to reinterpret).
 ByteReader OpenPayload(std::string_view payload, MessageType expected,
@@ -71,59 +71,6 @@ ByteReader OpenPayload(std::string_view payload, MessageType expected,
     reader.Malformed("unexpected message type " + std::to_string(type));
   }
   return reader;
-}
-
-void EncodeServiceStats(std::string* out, const serve::ServiceStats& stats) {
-  PutVarint64(out, stats.submitted);
-  PutVarint64(out, stats.hits);
-  PutVarint64(out, stats.misses);
-  PutVarint64(out, stats.coalesced);
-  PutVarint64(out, stats.invalid);
-  PutVarint64(out, stats.completed);
-  PutVarint64(out, stats.rejected);
-  PutVarint64(out, stats.cancelled);
-  PutVarint64(out, stats.deadline_expired);
-  PutVarint64(out, stats.failed);
-  PutVarint64(out, stats.executions);
-  PutVarint64(out, stats.cache_entries);
-  PutVarint64(out, stats.cache_bytes);
-  PutVarint64(out, stats.cache_evictions);
-  PutVarint64(out, stats.cache_oversized_rejects);
-  PutVarint64(out, stats.queue_depth);
-  PutDoubleBits(out, stats.hit_p50_ms);
-  PutDoubleBits(out, stats.hit_p95_ms);
-  PutDoubleBits(out, stats.hit_mean_ms);
-  PutDoubleBits(out, stats.mine_p50_ms);
-  PutDoubleBits(out, stats.mine_p95_ms);
-  PutDoubleBits(out, stats.mine_mean_ms);
-}
-
-serve::ServiceStats DecodeServiceStats(ByteReader& reader) {
-  serve::ServiceStats stats;
-  stats.submitted = reader.ReadVarint64("submitted");
-  stats.hits = reader.ReadVarint64("hits");
-  stats.misses = reader.ReadVarint64("misses");
-  stats.coalesced = reader.ReadVarint64("coalesced");
-  stats.invalid = reader.ReadVarint64("invalid");
-  stats.completed = reader.ReadVarint64("completed");
-  stats.rejected = reader.ReadVarint64("rejected");
-  stats.cancelled = reader.ReadVarint64("cancelled");
-  stats.deadline_expired = reader.ReadVarint64("deadline expired");
-  stats.failed = reader.ReadVarint64("failed");
-  stats.executions = reader.ReadVarint64("executions");
-  stats.cache_entries = reader.ReadVarint64("cache entries");
-  stats.cache_bytes = reader.ReadVarint64("cache bytes");
-  stats.cache_evictions = reader.ReadVarint64("cache evictions");
-  stats.cache_oversized_rejects =
-      reader.ReadVarint64("cache oversized rejects");
-  stats.queue_depth = reader.ReadVarint64("queue depth");
-  stats.hit_p50_ms = ReadDoubleBits(reader, "hit p50");
-  stats.hit_p95_ms = ReadDoubleBits(reader, "hit p95");
-  stats.hit_mean_ms = ReadDoubleBits(reader, "hit mean");
-  stats.mine_p50_ms = ReadDoubleBits(reader, "mine p50");
-  stats.mine_p95_ms = ReadDoubleBits(reader, "mine p95");
-  stats.mine_mean_ms = ReadDoubleBits(reader, "mine mean");
-  return stats;
 }
 
 [[noreturn]] void ThrowOversized(uint64_t size) {
@@ -171,7 +118,7 @@ MessageType PeekMessageType(std::string_view payload) {
   const uint8_t type =
       static_cast<uint8_t>(reader.ReadBytes(1, "message type")[0]);
   if (type < static_cast<uint8_t>(MessageType::kMineRequest) ||
-      type > static_cast<uint8_t>(MessageType::kMineRequestV3)) {
+      type > static_cast<uint8_t>(MessageType::kCountResponse)) {
     reader.Malformed("unknown message type " + std::to_string(type));
   }
   return static_cast<MessageType>(type);
@@ -180,8 +127,10 @@ MessageType PeekMessageType(std::string_view payload) {
 std::string EncodeMineRequest(const serve::TaskSpec& spec) {
   std::string payload;
   AppendPayloadHeader(&payload, MessageType::kMineRequest);
+  AppendTraceContext(&payload, spec.trace);
   PutVarint64(&payload, spec.shard);
   PutDoubleBits(&payload, spec.deadline_ms);
+  PutVarint64(&payload, spec.shard_sigma);
   // Dataset id 0 on the wire: the client cannot know the server's
   // process-unique dataset id, and the server re-keys against its own
   // shard ids anyway.
@@ -189,49 +138,13 @@ std::string EncodeMineRequest(const serve::TaskSpec& spec) {
   return payload;
 }
 
-std::string EncodeMineRequestV2(const serve::TaskSpec& spec) {
-  std::string payload;
-  AppendPayloadHeader(&payload, MessageType::kMineRequestV2);
-  AppendTraceContext(&payload, spec.trace);
-  PutVarint64(&payload, spec.shard);
-  PutDoubleBits(&payload, spec.deadline_ms);
-  payload.append(serve::EncodeCacheKey(0, spec));
-  return payload;
-}
-
-std::string EncodeMineRequestV3(const serve::TaskSpec& spec) {
-  std::string payload;
-  AppendPayloadHeader(&payload, MessageType::kMineRequestV3);
-  AppendTraceContext(&payload, spec.trace);
-  PutVarint64(&payload, spec.shard);
-  PutDoubleBits(&payload, spec.deadline_ms);
-  // The override sits with the other execution-shape knobs, in front of
-  // the cache-key bytes, which stay verbatim v1.
-  PutVarint64(&payload, spec.shard_sigma);
-  payload.append(serve::EncodeCacheKey(0, spec));
-  return payload;
-}
-
 MineRequest DecodeMineRequest(std::string_view payload) {
-  const MessageType type = PeekMessageType(payload);
-  if (type != MessageType::kMineRequest &&
-      type != MessageType::kMineRequestV2 &&
-      type != MessageType::kMineRequestV3) {
-    ByteReader header(payload, "mine request");
-    header.ReadBytes(2, "payload header");
-    header.Malformed("unexpected message type " +
-                     std::to_string(static_cast<unsigned>(type)));
-  }
-  ByteReader reader = OpenPayload(payload, type, "mine request");
-  obs::TraceContext trace;
-  if (type != MessageType::kMineRequest) {
-    trace = ReadTraceContext(reader);
-  }
+  ByteReader reader =
+      OpenPayload(payload, MessageType::kMineRequest, "mine request");
+  const obs::TraceContext trace = ReadTraceContext(reader);
   const uint64_t shard = reader.ReadVarint64("shard");
   const double deadline_ms = ReadDoubleBits(reader, "deadline");
-  const Frequency shard_sigma = type == MessageType::kMineRequestV3
-                                    ? reader.ReadVarint64("shard sigma")
-                                    : 0;
+  const Frequency shard_sigma = reader.ReadVarint64("shard sigma");
   MineRequest request;
   request.spec = serve::DecodeTaskSpec(payload.substr(reader.pos()));
   request.spec.shard = shard;
@@ -296,29 +209,6 @@ ErrorResponse DecodeErrorResponse(std::string_view payload) {
     reader.Malformed("trailing bytes after error response");
   }
   return error;
-}
-
-std::string EncodeStatsRequest() {
-  std::string payload;
-  AppendPayloadHeader(&payload, MessageType::kStatsRequest);
-  return payload;
-}
-
-std::string EncodeStatsResponse(const serve::ServiceStats& stats) {
-  std::string payload;
-  AppendPayloadHeader(&payload, MessageType::kStatsResponse);
-  EncodeServiceStats(&payload, stats);
-  return payload;
-}
-
-serve::ServiceStats DecodeStatsResponse(std::string_view payload) {
-  ByteReader reader = OpenPayload(payload, MessageType::kStatsResponse,
-                                  "stats response");
-  serve::ServiceStats stats = DecodeServiceStats(reader);
-  if (!reader.AtEnd()) {
-    reader.Malformed("trailing bytes after stats response");
-  }
-  return stats;
 }
 
 std::string EncodeMetricsRequest() {

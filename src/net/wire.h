@@ -33,8 +33,10 @@
 /// typed IoError of io/io_error.h.
 namespace lash::net {
 
-/// Bump when any payload layout changes. Byte 0 of every payload.
-inline constexpr uint8_t kWireVersion = 1;
+/// Bump when any payload layout changes — a new field costs one bump, not a
+/// new message type, since every client lives in this repository. Byte 0 of
+/// every payload.
+inline constexpr uint8_t kWireVersion = 2;
 
 /// Frame header: the u32 little-endian payload length.
 inline constexpr size_t kFrameHeaderBytes = 4;
@@ -43,39 +45,22 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 /// prefixes; also the practical bound on one response's pattern stream).
 inline constexpr uint32_t kMaxFramePayloadBytes = 256u << 20;
 
-/// Byte 1 of every payload.
-///
-/// Adding a MessageType is forward-compatible and does NOT bump
-/// kWireVersion (the version byte covers payload *layouts*): an old peer
-/// receiving an unknown type rejects that one payload as malformed and
-/// drops the connection, exactly as the framing contract specifies, while
-/// v1 traffic keeps flowing. PR 9 added 6–8 under this rule — an un-traced
-/// client talking to an upgraded worker, and vice versa for v1 requests,
-/// exchanges byte-identical frames.
+/// Byte 1 of every payload, numbered densely from 1. A type byte outside
+/// [kMineRequest, kCountResponse] is malformed — keep kCountResponse last
+/// or widen the check in PeekMessageType.
 enum class MessageType : uint8_t {
   kMineRequest = 1,
   kMineResponse = 2,
   kErrorResponse = 3,
-  kStatsRequest = 4,
-  kStatsResponse = 5,
-  /// kMineRequest plus a leading trace context (16-byte trace id + 8-byte
-  /// LE parent span id). The response types are shared with v1.
-  kMineRequestV2 = 6,
-  kMetricsRequest = 7,
-  kMetricsResponse = 8,
-  /// Phase 2 of the router's two-phase candidate/count protocol (PR 10):
-  /// "here are named candidate patterns — return this shard's exact
-  /// support of each". Counting needs no mining, just hierarchy-aware
-  /// (γ, λ)-matching against the shard corpus (serve/support_count.h).
-  kCountRequest = 9,
+  kMetricsRequest = 4,
+  kMetricsResponse = 5,
+  /// Phase 2 of the router's two-phase candidate/count protocol: "here are
+  /// named candidate patterns — return this shard's exact support of each".
+  /// Counting needs no mining, just hierarchy-aware (γ, λ)-matching against
+  /// the shard corpus (serve/support_count.h).
+  kCountRequest = 6,
   /// Index-aligned exact supports for one kCountRequest.
-  kCountResponse = 10,
-  /// kMineRequestV2 plus a varint shard-σ override between the deadline
-  /// and the cache-key bytes. Clients pick this encoding iff
-  /// `spec.shard_sigma != 0`, so default traffic stays byte-identical to
-  /// v1/v2; the override travels outside the key bytes, exactly like
-  /// shard routing and the deadline.
-  kMineRequestV3 = 11,
+  kCountResponse = 7,
 };
 
 /// Appends `payload` to `out` as one frame (length prefix + payload).
@@ -98,35 +83,29 @@ FrameStatus TryExtractFrame(std::string* buffer, std::string* payload);
 /// Throws IoError kBadVersion / kTruncated / kMalformed.
 MessageType PeekMessageType(std::string_view payload);
 
-/// A mining request as it crosses the wire: the target shard, the
-/// client-side deadline, and the canonical cache-key bytes of the spec.
-/// Execution-shape knobs (threads, job config) deliberately do not cross
-/// the wire — they are the *server's* resources to shape, exactly as they
-/// are excluded from the cache key.
+/// A mining request as it crosses the wire. The spec carries the target
+/// shard, the client-side deadline, the trace context, the router's shard-σ
+/// override, and the canonical cache-key fields. Execution-shape knobs
+/// (threads, job config) deliberately do not cross the wire — they are the
+/// *server's* resources to shape, exactly as they are excluded from the
+/// cache key.
 struct MineRequest {
   serve::TaskSpec spec;
 };
 
-/// Payload of one kMineRequest. Any trace context on `spec` is dropped —
-/// v1 bytes are what a pre-PR-9 client would have sent.
+/// Payload of one kMineRequest, every field always present:
+///
+///   24B trace context | varint shard | LE-double deadline |
+///   varint shard_sigma | EncodeCacheKey(0, spec)
+///
+/// An inactive trace travels as 24 zero bytes and no override as
+/// `shard_sigma = 0`; both decode back to the defaults. Trace, shard,
+/// deadline and shard_sigma sit outside the cache-key bytes, so none of
+/// them changes what a request hits or coalesces with.
 std::string EncodeMineRequest(const serve::TaskSpec& spec);
 
-/// Payload of one kMineRequestV2: the v1 body prefixed with the spec's
-/// trace context. The clients pick this encoding iff the spec carries an
-/// active trace id, so untraced traffic stays byte-identical to v1.
-std::string EncodeMineRequestV2(const serve::TaskSpec& spec);
-
-/// Payload of one kMineRequestV3: the v2 body plus `varint shard_sigma`
-/// between the deadline and the cache-key bytes. Clients pick this
-/// encoding iff `spec.shard_sigma != 0` (an inactive trace travels as its
-/// 24 zero bytes), so traffic without the override is byte-identical to
-/// what a pre-V3 client sends.
-std::string EncodeMineRequestV3(const serve::TaskSpec& spec);
-
-/// Decodes a kMineRequest, kMineRequestV2, or kMineRequestV3 payload
-/// (dispatches on the type byte; re-checks the version). A v1 payload
-/// yields an inactive `spec.trace`; v1/v2 payloads yield
-/// `spec.shard_sigma == 0`.
+/// Decodes a kMineRequest payload (re-checks version and type; a strict
+/// prefix or trailing bytes are typed IoErrors).
 MineRequest DecodeMineRequest(std::string_view payload);
 
 /// A successful mining answer: the run summary, the serving-layer
@@ -154,21 +133,11 @@ std::string EncodeErrorResponse(serve::ServeErrorCode code,
                                 std::string_view message);
 ErrorResponse DecodeErrorResponse(std::string_view payload);
 
-/// Payload of one kStatsRequest (no body).
-std::string EncodeStatsRequest();
-
-/// Payload of one kStatsResponse: every ServiceStats field. The layout is
-/// frozen at its v1 bytes — the full metrics snapshot travels over the
-/// separate kMetricsRequest/kMetricsResponse RPC instead of extending this
-/// body (which would demand a version bump).
-std::string EncodeStatsResponse(const serve::ServiceStats& stats);
-serve::ServiceStats DecodeStatsResponse(std::string_view payload);
-
 /// Payload of one kMetricsRequest (no body).
 std::string EncodeMetricsRequest();
 
 /// Payload of one kMetricsResponse: a MetricsRegistry snapshot as a flat
-/// sample list — `varint count`, then per sample `varint name length | name
+/// sample list (the serving tier's one telemetry RPC) — `varint count`, then per sample `varint name length | name
 /// bytes | 8-byte LE double bits`. Samples keep the registry's sorted-by-
 /// name order.
 std::string EncodeMetricsResponse(const std::vector<obs::MetricSample>& samples);

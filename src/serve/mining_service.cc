@@ -88,12 +88,14 @@ void PendingResult::Cancel() {
   state_->cancel_requested.store(true, std::memory_order_relaxed);
 }
 
-const Response& PendingResult::Get() const {
+const Response& PendingResult::Get() const& {
   Wait();
   // `done` is monotonic: no lock needed after Wait observes it.
   if (state_->failed) throw ServeError(state_->code, state_->error);
   return state_->response;
 }
+
+Response PendingResult::Get() && { return std::as_const(*this).Get(); }
 
 bool PendingResult::ok() const {
   Wait();
@@ -496,11 +498,13 @@ ServiceStats MiningService::Stats() const {
   stats.cache_oversized_rejects = cache.oversized_rejects;
   stats.queue_depth = executor_.QueueDepth();
 
-  const LatencyHistogram::Snapshot hit = inst_.hit_latency->TakeSnapshot();
+  const obs::LatencyHistogram::Snapshot hit =
+      inst_.hit_latency->TakeSnapshot();
   stats.hit_p50_ms = hit.PercentileMs(0.50);
   stats.hit_p95_ms = hit.PercentileMs(0.95);
   stats.hit_mean_ms = hit.MeanMs();
-  const LatencyHistogram::Snapshot mine = inst_.mine_latency->TakeSnapshot();
+  const obs::LatencyHistogram::Snapshot mine =
+      inst_.mine_latency->TakeSnapshot();
   stats.mine_p50_ms = mine.PercentileMs(0.50);
   stats.mine_p95_ms = mine.PercentileMs(0.95);
   stats.mine_mean_ms = mine.MeanMs();

@@ -15,10 +15,10 @@
 #include <vector>
 
 #include "api/lash_api.h"
+#include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/executor.h"
-#include "serve/histogram.h"
 #include "serve/result_cache.h"
 #include "serve/task_spec.h"
 
@@ -93,7 +93,11 @@ class PendingResult {
   void Cancel();
 
   /// Waits and returns the response; throws ServeError on failure.
-  const Response& Get() const;
+  const Response& Get() const&;
+  /// The same on a temporary handle (`Submit(spec).Get()`), by value: the
+  /// temporary may hold the last reference to the shared state, so a
+  /// reference into it would dangle once the full expression ends.
+  Response Get() &&;
 
   /// Waits; true iff the request succeeded (Get() will not throw).
   bool ok() const;
@@ -139,7 +143,7 @@ struct ServiceOptions {
   /// Registry the service registers its serve.* instruments into. Null (the
   /// default) gives the service a private registry — counters stay isolated
   /// when many services share a process (tests). Tools serving one service
-  /// pass &obs::MetricsRegistry::Global() so the stats RPC sees everything.
+  /// pass &obs::MetricsRegistry::Global() so the metrics RPC sees everything.
   obs::MetricsRegistry* metrics = nullptr;
   /// Slow-query log threshold in milliseconds; 0 disables. A request whose
   /// submit→resolve latency reaches the threshold logs one stderr line

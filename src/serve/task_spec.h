@@ -44,13 +44,13 @@ struct TaskSpec {
   /// (0 = the router's default: the pigeonhole bound ⌈σ/k⌉, see
   /// net/router.h). Only the router reads it — workers and the in-process
   /// service ignore it — and like deadline/shard it travels *outside* the
-  /// cache-key bytes (kMineRequestV3), so it is deliberately EXCLUDED from
-  /// EncodeCacheKey: how a router gathers candidates must not change what
-  /// a worker's answer hits or coalesces with.
+  /// cache-key bytes of the wire mine request, so it is deliberately
+  /// EXCLUDED from EncodeCacheKey: how a router gathers candidates must not
+  /// change what a worker's answer hits or coalesces with.
   Frequency shard_sigma = 0;
 
   /// Request trace context (obs/trace.h): inactive by default, stamped at
-  /// the edge, carried across the wire by kMineRequestV2. Like the
+  /// the edge, carried across the wire in every mine request. Like the
   /// execution-shape knobs, deliberately EXCLUDED from EncodeCacheKey —
   /// tracing a request must not change what it hits or coalesces with.
   obs::TraceContext trace{};

@@ -212,19 +212,83 @@ TEST(WireFraming, OversizedLengthPrefixThrowsBeforeBuffering) {
 
 // ---- Message payloads -----------------------------------------------------
 
-TEST(WireMessages, MineRequestRoundTrip) {
-  TaskSpec spec = PaperSpec(Algorithm::kLash);
-  spec.shard = 2;
-  spec.deadline_ms = 750.5;
-  spec.top_k = 9;
-  const std::string payload = EncodeMineRequest(spec);
-  EXPECT_EQ(PeekMessageType(payload), MessageType::kMineRequest);
-  const MineRequest decoded = DecodeMineRequest(payload);
-  EXPECT_EQ(decoded.spec.shard, 2u);
-  EXPECT_EQ(decoded.spec.deadline_ms, 750.5);
-  EXPECT_EQ(decoded.spec.algorithm, Algorithm::kLash);
-  EXPECT_EQ(decoded.spec.top_k, 9u);
-  EXPECT_EQ(decoded.spec.params.sigma, 2u);
+TEST(WireMessages, MineRequestRoundTripsEveryField) {
+  // One mine request carries every field on every request: the trace
+  // context (24 zero bytes when inactive) and the shard-σ override (0 when
+  // unset) are always on the wire, so the active/inactive and zero/non-zero
+  // cases are four instances of the same layout.
+  for (bool traced : {false, true}) {
+    for (Frequency shard_sigma : {Frequency{0}, Frequency{7}}) {
+      TaskSpec spec = PaperSpec(Algorithm::kLash);
+      spec.shard = 2;
+      spec.deadline_ms = 750.5;
+      spec.top_k = 9;
+      spec.shard_sigma = shard_sigma;
+      if (traced) {
+        spec.trace.trace_id = obs::TraceId::Make();
+        spec.trace.parent_span = 0xdeadbeefcafef00dULL;
+      }
+      SCOPED_TRACE(std::string(traced ? "traced" : "untraced") +
+                   ", shard_sigma " + std::to_string(shard_sigma));
+
+      const std::string payload = EncodeMineRequest(spec);
+      EXPECT_EQ(PeekMessageType(payload), MessageType::kMineRequest);
+      const MineRequest decoded = DecodeMineRequest(payload);
+      EXPECT_EQ(decoded.spec.trace.active(), traced);
+      EXPECT_EQ(decoded.spec.trace.trace_id, spec.trace.trace_id);
+      EXPECT_EQ(decoded.spec.trace.parent_span, spec.trace.parent_span);
+      EXPECT_EQ(decoded.spec.shard, 2u);
+      EXPECT_EQ(decoded.spec.deadline_ms, 750.5);
+      EXPECT_EQ(decoded.spec.shard_sigma, shard_sigma);
+      EXPECT_EQ(decoded.spec.algorithm, Algorithm::kLash);
+      EXPECT_EQ(decoded.spec.top_k, 9u);
+      EXPECT_EQ(decoded.spec.params.sigma, 2u);
+      // Re-encoding the decoded request reproduces the payload bytes.
+      EXPECT_EQ(EncodeMineRequest(decoded.spec), payload);
+
+      // Every strict prefix is a typed decode error, and so is trailing junk.
+      for (size_t len = 0; len < payload.size(); ++len) {
+        EXPECT_THROW(DecodeMineRequest(payload.substr(0, len)), IoError)
+            << "prefix of length " << len << " did not throw";
+      }
+      EXPECT_THROW(DecodeMineRequest(payload + "x"), IoError);
+    }
+  }
+}
+
+TEST(WireMessages, MineRequestRejectsOldVersionsAndUnknownTypes) {
+  const std::string payload =
+      EncodeMineRequest(PaperSpec(Algorithm::kSequential));
+  // A version-1 payload (the retired multi-encoding protocol) is refused
+  // by its version byte, before any body byte is read.
+  std::string v1 = payload;
+  v1[0] = 1;
+  for (auto decode : {+[](std::string_view p) { PeekMessageType(p); },
+                      +[](std::string_view p) { DecodeMineRequest(p); }}) {
+    try {
+      decode(v1);
+      FAIL() << "version-1 payload accepted";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.kind(), IoErrorKind::kBadVersion);
+    }
+  }
+  // Type bytes outside the dense [kMineRequest, kCountResponse] range are
+  // malformed.
+  for (uint8_t type : {uint8_t{0},
+                       static_cast<uint8_t>(
+                           static_cast<uint8_t>(MessageType::kCountResponse) +
+                           1),
+                       uint8_t{0xff}}) {
+    std::string bad = payload;
+    bad[1] = static_cast<char>(type);
+    try {
+      PeekMessageType(bad);
+      FAIL() << "type byte " << int{type} << " accepted";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.kind(), IoErrorKind::kMalformed);
+    }
+    EXPECT_THROW(DecodeMineRequest(bad), IoError);
+  }
 }
 
 TEST(WireMessages, MineResponseRoundTrip) {
@@ -255,87 +319,13 @@ TEST(WireMessages, MineResponseRoundTrip) {
   EXPECT_EQ(EncodeMineResponse(decoded), payload);
 }
 
-TEST(WireMessages, ErrorAndStatsRoundTrip) {
+TEST(WireMessages, ErrorRoundTrip) {
   const std::string error_payload =
       EncodeErrorResponse(ServeErrorCode::kQueueFull, "try later");
   EXPECT_EQ(PeekMessageType(error_payload), MessageType::kErrorResponse);
   const ErrorResponse error = DecodeErrorResponse(error_payload);
   EXPECT_EQ(error.code, ServeErrorCode::kQueueFull);
   EXPECT_EQ(error.message, "try later");
-
-  serve::ServiceStats stats;
-  stats.submitted = 10;
-  stats.hits = 4;
-  stats.cache_oversized_rejects = 2;
-  stats.queue_depth = 3;
-  stats.mine_p95_ms = 17.5;
-  const std::string stats_payload = EncodeStatsResponse(stats);
-  EXPECT_EQ(PeekMessageType(stats_payload), MessageType::kStatsResponse);
-  const serve::ServiceStats decoded = DecodeStatsResponse(stats_payload);
-  EXPECT_EQ(decoded.submitted, 10u);
-  EXPECT_EQ(decoded.hits, 4u);
-  EXPECT_EQ(decoded.cache_oversized_rejects, 2u);
-  EXPECT_EQ(decoded.queue_depth, 3u);
-  EXPECT_EQ(decoded.mine_p95_ms, 17.5);
-  EXPECT_EQ(EncodeStatsResponse(decoded), stats_payload);
-}
-
-TEST(WireMessages, MineRequestV2CarriesTraceContext) {
-  TaskSpec spec = PaperSpec(Algorithm::kLash);
-  spec.shard = 1;
-  spec.deadline_ms = 250.25;
-  spec.trace.trace_id = obs::TraceId::Make();
-  spec.trace.parent_span = 0xdeadbeefcafef00dULL;
-
-  const std::string payload = EncodeMineRequestV2(spec);
-  EXPECT_EQ(PeekMessageType(payload), MessageType::kMineRequestV2);
-  const MineRequest decoded = DecodeMineRequest(payload);
-  EXPECT_EQ(decoded.spec.trace.trace_id, spec.trace.trace_id);
-  EXPECT_EQ(decoded.spec.trace.parent_span, spec.trace.parent_span);
-  EXPECT_EQ(decoded.spec.shard, 1u);
-  EXPECT_EQ(decoded.spec.deadline_ms, 250.25);
-  EXPECT_EQ(decoded.spec.algorithm, Algorithm::kLash);
-
-  // A v1 request decodes with an inactive trace — the traceless state —
-  // and its bytes are untouched by the v2 addition (no version bump).
-  const MineRequest v1 = DecodeMineRequest(EncodeMineRequest(spec));
-  EXPECT_FALSE(v1.spec.trace.active());
-  EXPECT_EQ(v1.spec.shard, 1u);
-
-  // Truncating the v2 trace header is a typed decode error.
-  EXPECT_THROW(DecodeMineRequest(std::string_view(payload).substr(0, 10)),
-               IoError);
-}
-
-TEST(WireMessages, MineRequestV3CarriesShardSigmaOutsideTheKey) {
-  TaskSpec spec = PaperSpec(Algorithm::kLash);
-  spec.shard = 1;
-  spec.deadline_ms = 33.5;
-  spec.shard_sigma = 7;
-  spec.trace.trace_id = obs::TraceId::Make();
-  spec.trace.parent_span = 0x0123456789abcdefULL;
-
-  const std::string payload = EncodeMineRequestV3(spec);
-  EXPECT_EQ(PeekMessageType(payload), MessageType::kMineRequestV3);
-  const MineRequest decoded = DecodeMineRequest(payload);
-  EXPECT_EQ(decoded.spec.shard_sigma, 7u);
-  EXPECT_EQ(decoded.spec.shard, 1u);
-  EXPECT_EQ(decoded.spec.deadline_ms, 33.5);
-  EXPECT_EQ(decoded.spec.trace.trace_id, spec.trace.trace_id);
-  EXPECT_EQ(decoded.spec.trace.parent_span, spec.trace.parent_span);
-  EXPECT_EQ(decoded.spec.algorithm, Algorithm::kLash);
-  EXPECT_EQ(decoded.spec.params.sigma, 2u);
-
-  // v1/v2 payloads decode with the default (no override) — traffic without
-  // a shard-σ override never pays the v3 bytes.
-  EXPECT_EQ(DecodeMineRequest(EncodeMineRequest(spec)).spec.shard_sigma, 0u);
-  EXPECT_EQ(DecodeMineRequest(EncodeMineRequestV2(spec)).spec.shard_sigma, 0u);
-
-  // Every strict prefix is a typed decode error.
-  for (size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_THROW(DecodeMineRequest(payload.substr(0, len)), IoError)
-        << "prefix of length " << len << " did not throw";
-  }
 }
 
 TEST(WireMessages, CountRequestRoundTripAndTruncationMatrix) {
@@ -424,10 +414,10 @@ TEST(WireMessages, MetricsMessagesRoundTrip) {
 
 TEST(WireMessages, MalformedPayloadsThrow) {
   // Wrong type for the decoder.
-  EXPECT_THROW(DecodeMineResponse(EncodeStatsRequest()), IoError);
-  EXPECT_THROW(DecodeMineRequest(EncodeStatsRequest()), IoError);
+  EXPECT_THROW(DecodeMineResponse(EncodeMetricsRequest()), IoError);
+  EXPECT_THROW(DecodeMineRequest(EncodeMetricsRequest()), IoError);
   // Unknown wire version.
-  std::string bad_version = EncodeStatsRequest();
+  std::string bad_version = EncodeMetricsRequest();
   bad_version[0] = 9;
   try {
     PeekMessageType(bad_version);
@@ -528,11 +518,15 @@ TEST_F(NetLoopbackTest, SecondRequestHitsTheCacheAndStatsTravel) {
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(Bytes(hit.patterns), Bytes(cold.patterns));
 
-  const serve::ServiceStats stats = client.Stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.cache_entries, 1u);
+  // The service's counters travel over the metrics RPC.
+  std::map<std::string, double> metrics;
+  for (const obs::MetricSample& sample : client.Metrics()) {
+    metrics[sample.name] = sample.value;
+  }
+  EXPECT_EQ(metrics["serve.requests.submitted"], 2.0);
+  EXPECT_EQ(metrics["serve.requests.hits"], 1.0);
+  EXPECT_EQ(metrics["serve.requests.misses"], 1.0);
+  EXPECT_EQ(metrics["serve.cache.entries"], 1.0);
 }
 
 TEST_F(NetLoopbackTest, RouterMergesTwoShardsExactly) {
@@ -847,7 +841,7 @@ TEST_F(NetLoopbackTest, OneTraceIdSpansClientRouterAndBothWorkers) {
 
   // The traced request goes first, so it is a cold miss on both workers
   // and exercises the full pipeline (queue, mine, MapReduce export). The
-  // untraced (v1) request follows through the same collecting tracer; the
+  // untraced request follows through the same collecting tracer; the
   // single-trace-id assertion below doubles as the proof that it recorded
   // nothing. (Collection drains once, after both: a worker's serve.deliver
   // span lands just after its reply is sent, so a drain between the two
@@ -855,18 +849,18 @@ TEST_F(NetLoopbackTest, OneTraceIdSpansClientRouterAndBothWorkers) {
   obs::Tracer::Global().StartCollecting();
   TaskSpec traced = PaperSpec(Algorithm::kLash);
   traced.trace.trace_id = obs::TraceId::Make();
-  const MineReply v2_reply = client.Mine(traced);
+  const MineReply traced_reply = client.Mine(traced);
   TaskSpec untraced = PaperSpec(Algorithm::kLash);
-  const MineReply v1_reply = client.Mine(untraced);
+  const MineReply untraced_reply = client.Mine(untraced);
   std::vector<obs::SpanRecord> spans = obs::Tracer::Global().TakeCollected();
   obs::Tracer::Global().StopCollecting();
 
-  // Tracing must not change the answer: the traced (v2, cold) reply is
-  // pattern-identical to the untraced (v1, cache-hit) one.
-  EXPECT_EQ(Bytes(v2_reply.patterns), Bytes(v1_reply.patterns));
+  // Tracing must not change the answer: the traced (cold) reply is
+  // pattern-identical to the untraced (cache-hit) one.
+  EXPECT_EQ(Bytes(traced_reply.patterns), Bytes(untraced_reply.patterns));
 
   // First pass: index the spans. Every span belongs to THE trace — the
-  // v1 request contributed none.
+  // untraced request contributed none.
   ASSERT_FALSE(spans.empty());
   std::map<uint64_t, const obs::SpanRecord*> by_id;
   std::multiset<std::string> names;

@@ -14,6 +14,8 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "api/lash_api.h"
@@ -115,6 +117,26 @@ TEST_F(ServePaperTest, CacheHitIsPatternIdenticalForAllSixAlgorithms) {
   EXPECT_EQ(stats.misses, 6u);
   EXPECT_EQ(stats.executions, 6u);
   EXPECT_EQ(stats.completed, 12u);
+}
+
+TEST_F(ServePaperTest, GetOnATemporaryHandleReturnsByValue) {
+  // A temporary PendingResult may hold the last reference to the request
+  // state, so Get() on it hands back a copy; Get() on a named handle still
+  // returns a reference into the state that handle keeps alive.
+  static_assert(
+      std::is_same_v<decltype(std::declval<PendingResult>().Get()), Response>);
+  static_assert(
+      std::is_same_v<decltype(std::declval<const PendingResult&>().Get()),
+                     const Response&>);
+  MiningService service(dataset_);
+  const TaskSpec spec = PaperSpec(Algorithm::kSequential);
+  // Binding a reference to the temporary's Get() extends the returned
+  // value's lifetime; a reference into the freed state would be a
+  // use-after-free that ASAN reports on the reads below.
+  const Response& response = service.Submit(spec).Get();
+  EXPECT_FALSE(response.cache_hit);
+  EXPECT_EQ(testing::Sorted(response.patterns()),
+            testing::Sorted(MakeTask(dataset_, spec).Mine()));
 }
 
 TEST_F(ServePaperTest, FilterAndTopKVariantsAreDistinctCacheEntries) {

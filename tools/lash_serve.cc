@@ -13,7 +13,8 @@
 // synchronous and prints the top --print patterns as frequency<TAB>names
 // lines on stdout (summaries go to stderr, so piped pattern output stays
 // clean; --print 0 prints every pattern), `stats` fetches the remote
-// counters, `wait` is a no-op.
+// process's metrics snapshot (a router answers with its own registry),
+// `wait` is a no-op.
 //   data generation (self-contained smoke runs, no input files needed;
 //   recipes shared with the perf gates via datagen/corpus_recipes.h):
 //              --gen nyt  [--sentences N] [--lemmas N]
@@ -30,7 +31,7 @@
 //   with --connect against a router). --shard-sigma N sets the session
 //   default for lines that don't say shard_sigma=.
 //   wait                drain outstanding queries, printing one line each
-//   stats               print a ServiceStats snapshot
+//   stats               print the metrics-registry snapshot
 // EOF implies a final `wait`. In --repl mode the same commands are read from
 // stdin, `mine` waits synchronously (printing the top --print patterns), and
 // `quit` exits.
@@ -135,33 +136,9 @@ TaskSpec ParseSpec(std::istringstream& in) {
   return spec;
 }
 
-void PrintStats(const ServiceStats& s) {
-  std::printf(
-      "stats: submitted=%llu hits=%llu misses=%llu coalesced=%llu "
-      "invalid=%llu completed=%llu rejected=%llu cancelled=%llu "
-      "deadline_expired=%llu failed=%llu executions=%llu\n",
-      (unsigned long long)s.submitted, (unsigned long long)s.hits,
-      (unsigned long long)s.misses, (unsigned long long)s.coalesced,
-      (unsigned long long)s.invalid, (unsigned long long)s.completed,
-      (unsigned long long)s.rejected, (unsigned long long)s.cancelled,
-      (unsigned long long)s.deadline_expired, (unsigned long long)s.failed,
-      (unsigned long long)s.executions);
-  std::printf(
-      "cache: entries=%llu bytes=%llu evictions=%llu "
-      "oversized_rejects=%llu depth=%zu\n",
-      (unsigned long long)s.cache_entries, (unsigned long long)s.cache_bytes,
-      (unsigned long long)s.cache_evictions,
-      (unsigned long long)s.cache_oversized_rejects, s.queue_depth);
-  std::printf(
-      "latency: hit p50=%.3fms p95=%.3fms mean=%.3fms | "
-      "mine p50=%.1fms p95=%.1fms mean=%.1fms\n",
-      s.hit_p50_ms, s.hit_p95_ms, s.hit_mean_ms, s.mine_p50_ms, s.mine_p95_ms,
-      s.mine_mean_ms);
-  std::fflush(stdout);
-}
-
-/// The full registry snapshot, one indented `name value` line per sample —
-/// the live stats surface behind the fixed-format summary above.
+/// The `stats` command: the full metrics-registry snapshot, one indented
+/// `name value` line per sample (the same instruments the metrics RPC
+/// serves, so local and --connect output read alike).
 void PrintMetrics(const std::vector<obs::MetricSample>& samples) {
   std::printf("metrics: %zu samples\n", samples.size());
   for (const obs::MetricSample& sample : samples) {
@@ -236,7 +213,6 @@ int RunCommands(std::istream& in, MiningService& service, bool interactive,
           drain();
         } else if (command == "stats") {
           drain();
-          PrintStats(service.Stats());
           PrintMetrics(service.metrics().Snapshot());
         } else if (interactive && (command == "quit" || command == "exit")) {
           return 0;
@@ -275,8 +251,8 @@ int RunNetworkCommands(std::istream& in, net::NetClient& client,
           // wins. 0 leaves the router's own default (the pigeonhole bound).
           if (spec.shard_sigma == 0) spec.shard_sigma = default_shard_sigma;
           // Minted here, at the edge: the client.mine root span owns the
-          // round trip, and its context rides the v2 wire message through
-          // the router to every worker. Untraced runs stay v1.
+          // round trip, and its context rides the mine request through
+          // the router to every worker. Untraced runs send 24 zero bytes.
           obs::Span root(&obs::Tracer::Global(), tools::NewRequestTrace(),
                          "client.mine");
           spec.trace = root.context();
@@ -313,7 +289,6 @@ int RunNetworkCommands(std::istream& in, net::NetClient& client,
         } else if (command == "wait") {
           // Synchronous client: nothing outstanding.
         } else if (command == "stats") {
-          PrintStats(client.Stats());
           PrintMetrics(client.Metrics());
         } else if (interactive && (command == "quit" || command == "exit")) {
           return 0;
