@@ -94,17 +94,8 @@ AlgoResult RunLashPacked(const PreprocessResult& pre, const GsmParams& params,
           scratch.rewritten.assign(t.begin(), t.end());
         }
         for (ItemId w : scratch.pivots) {
-          switch (options.rewrite) {
-            case RewriteLevel::kNone:
-              break;
-            case RewriteLevel::kGeneralizeOnly:
-              scratch.rewriter->Generalize(t, w, &scratch.rewritten);
-              break;
-            case RewriteLevel::kFull:
-              if (!scratch.rewriter->Rewrite(t, w, &scratch.rewritten)) {
-                continue;
-              }
-              break;
+          if (options.rewrite == RewriteLevel::kGeneralizeOnly) {
+            scratch.rewriter->Generalize(t, w, &scratch.rewritten);
           }
           if (scratch.rewritten.empty()) continue;
           scratch.key.clear();

@@ -53,8 +53,8 @@ Dataset::Dataset(SnapshotTag, const std::string& path, LoadMode mode)
     }
     snap = ReadDatasetSnapshotMapped(map_.data(), map_.size());
     if (!snap.ranked_corpus.borrowed()) {
-      // Nothing borrows the mapping (v1 container, or a big-endian host
-      // where the mapped reader copies): drop it rather than keep the
+      // Nothing borrows the mapping (a big-endian host, where the mapped
+      // reader copies): drop it rather than keep the
       // whole file resident for no benefit.
       map_ = MmapFile();
     }
@@ -110,9 +110,9 @@ Dataset::Dataset(SnapshotTag, const std::string& path, LoadMode mode)
   stats_ = snap.stats;
 
   if (mode == LoadMode::kCopy) {
-    // Copy mode keeps the v1 contract: everything fully materialized at
-    // load. Mmap mode defers this O(corpus) pass until something actually
-    // asks for the raw corpus (most mining paths never do).
+    // Copy mode materializes everything at load. Mmap mode defers this
+    // O(corpus) pass until something actually asks for the raw corpus
+    // (most mining paths never do).
     BuildRawCorpus();
     std::call_once(raw_once_, [] {});
   }

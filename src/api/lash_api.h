@@ -249,19 +249,18 @@ class Dataset {
   enum class LoadMode {
     /// Stream the file into owned arenas, verifying every checksum and the
     /// full corpus structure eagerly; the raw corpus is reconstructed up
-    /// front. Always available; the only mode that decodes v1 containers
-    /// without an mmap.
+    /// front. Always available.
     kCopy,
-    /// mmap the file read-only and *borrow* the big arrays in place (v2
-    /// containers on little-endian hosts): cold start is O(page faults) in
+    /// mmap the file read-only and *borrow* the big arrays in place (on
+    /// little-endian hosts): cold start is O(page faults) in
     /// the corpus, not O(corpus bytes). The header and every small section
     /// are checksum-verified eagerly; the two corpus sections' checksums
     /// (and their O(corpus) structural checks) are deferred — call
     /// VerifyCorpus() to run them on demand. The raw corpus is rebuilt
     /// lazily on first raw_database()/flat_preprocessed() use. The Dataset
     /// owns the mapping, so every borrowed view stays valid for its
-    /// lifetime. v1 containers and big-endian hosts silently degrade to a
-    /// full copy with nothing deferred.
+    /// lifetime. Big-endian hosts silently degrade to a full copy with
+    /// nothing deferred.
     kMmap,
   };
 

@@ -160,144 +160,4 @@ void ScratchRewriter::Generalize(SequenceView t, ItemId pivot,
   }
 }
 
-// For gamma == 0 a chain can only step to an adjacent non-blank index, so
-// reachability never crosses a blank: within each maximal non-blank run of
-// the generalized sequence, an index survives the unreachability reduction
-// iff its distance to the nearest in-run pivot occurrence is <= lambda - 1
-// (chain size |i - p| + 1 <= lambda), and runs without a pivot vanish
-// entirely. Isolated-pivot removal degenerates to dropping singleton runs:
-// a surviving pivot in a run of length >= 2 always keeps its distance-1
-// neighbor (lambda >= 2). Blank compression becomes "join surviving
-// positions, one blank between non-adjacent ones". Equivalence with the
-// generic pipeline is differential-tested in tests/rewrite_test.cc.
-bool ScratchRewriter::RewriteGammaZero(SequenceView t, ItemId pivot,
-                                       Sequence* out) {
-  Generalize(t, pivot, &gen_);
-  const size_t m = gen_.size();
-  left_.resize(m);  // keep[i] flags.
-  const size_t reach = static_cast<size_t>(lambda_) - 1;
-  constexpr size_t kNone = static_cast<size_t>(-1);
-  size_t last_kept = kNone;
-  size_t i = 0;
-  while (i < m) {
-    if (gen_[i] == kBlank) {
-      ++i;
-      continue;
-    }
-    const size_t s = i;
-    while (i < m && gen_[i] != kBlank) ++i;
-    const size_t e = i;  // Maximal non-blank run [s, e).
-    if (e - s == 1) continue;  // Lone pivot: isolated; lone item: unreachable.
-    bool any_pivot = false;
-    size_t prev_pivot = kNone;
-    for (size_t j = s; j < e; ++j) {
-      if (gen_[j] == pivot) {
-        prev_pivot = j;
-        any_pivot = true;
-      }
-      left_[j] = prev_pivot != kNone && j - prev_pivot <= reach;
-    }
-    if (!any_pivot) continue;
-    size_t next_pivot = kNone;
-    for (size_t j = e; j-- > s;) {
-      if (gen_[j] == pivot) next_pivot = j;
-      if (next_pivot != kNone && next_pivot - j <= reach) left_[j] = 1;
-    }
-    for (size_t j = s; j < e; ++j) {
-      if (!left_[j]) continue;
-      if (last_kept != kNone && j > last_kept + 1) out->push_back(kBlank);
-      out->push_back(gen_[j]);
-      last_kept = j;
-    }
-  }
-  if (out->empty()) return false;
-  return true;
-}
-
-bool ScratchRewriter::Rewrite(SequenceView t, ItemId pivot, Sequence* out) {
-  out->clear();
-  if (gamma_ == 0) return RewriteGammaZero(t, pivot, out);
-  Generalize(t, pivot, &gen_);
-  const size_t m = gen_.size();
-  const size_t window = static_cast<size_t>(gamma_) + 1;
-  constexpr uint32_t kUnreachable = Rewriter::kUnreachable;
-
-  // Unreachability reduction (same recurrence as Rewriter::MinPivotDistances
-  // with the min + blanking fused in).
-  bool has_pivot = false;
-  {
-    left_.assign(m, kUnreachable);
-    right_.assign(m, kUnreachable);
-    for (size_t i = 0; i < m; ++i) {
-      if (gen_[i] == pivot) left_[i] = 1;
-      size_t lo = i >= window ? i - window : 0;
-      for (size_t j = lo; j < i; ++j) {
-        if (gen_[j] != kBlank && left_[j] != kUnreachable &&
-            left_[j] + 1 < left_[i]) {
-          left_[i] = left_[j] + 1;
-        }
-      }
-    }
-    for (size_t ii = m; ii-- > 0;) {
-      if (gen_[ii] == pivot) right_[ii] = 1;
-      size_t hi = std::min(m, ii + window + 1);
-      for (size_t j = ii + 1; j < hi; ++j) {
-        if (gen_[j] != kBlank && right_[j] != kUnreachable &&
-            right_[j] + 1 < right_[ii]) {
-          right_[ii] = right_[j] + 1;
-        }
-      }
-    }
-    for (size_t i = 0; i < m; ++i) {
-      uint32_t d = std::min(left_[i], right_[i]);
-      if (d == kUnreachable || d > lambda_) gen_[i] = kBlank;
-      if (gen_[i] == pivot) has_pivot = true;
-    }
-  }
-  if (!has_pivot) return false;
-
-  // Isolated pivot removal. The two-phase structure of Rewriter::Rewrite
-  // (mark first, blank after) matters: a pivot's surviving neighbor may
-  // itself be an isolated pivot, and marking uses pre-removal contents.
-  has_pivot = false;
-  for (size_t i = 0; i < m; ++i) {
-    if (gen_[i] != pivot) {
-      left_[i] = 0;
-      continue;
-    }
-    bool has_neighbor = false;
-    size_t lo = i >= window ? i - window : 0;
-    size_t hi = std::min(m, i + window + 1);
-    for (size_t j = lo; j < hi && !has_neighbor; ++j) {
-      if (j != i && gen_[j] != kBlank) has_neighbor = true;
-    }
-    left_[i] = has_neighbor ? 0 : 1;
-  }
-  for (size_t i = 0; i < m; ++i) {
-    if (left_[i]) gen_[i] = kBlank;
-    if (gen_[i] == pivot) has_pivot = true;
-  }
-  if (!has_pivot) return false;
-
-  // Blank compression: strip leading/trailing blanks; cap runs at gamma+1.
-  size_t run = 0;
-  size_t non_blank = 0;
-  for (ItemId w : gen_) {
-    if (w == kBlank) {
-      ++run;
-      if (!out->empty() && run <= window) out->push_back(kBlank);
-    } else {
-      run = 0;
-      ++non_blank;
-      out->push_back(w);
-    }
-  }
-  while (!out->empty() && out->back() == kBlank) out->pop_back();
-  if (non_blank < 2) {
-    out->clear();
-    return false;
-  }
-  return true;
-}
-
 }  // namespace lash

@@ -65,18 +65,19 @@ class Rewriter {
   uint32_t lambda_;
 };
 
-/// Allocation-free variant of Rewriter for the LASH map hot loop (the
-/// partitioning phase rewrites every transaction once per pivot, so the
-/// rewrite pipeline runs |D| * avg|G1(T)| times per job). All temporaries
-/// live in the object and `Rewrite` writes into a caller-owned buffer that
-/// is reused across pivots; a warm instance performs no heap allocation.
+/// Allocation-free rewriter for the LASH map hot loop (the partitioning
+/// phase rewrites every transaction once per frequent pivot of G1(T), so
+/// the rewrite pipeline runs |D| * avg|G1(T)| times per job). All
+/// temporaries live in the object and are reused across calls; a warm
+/// instance performs no heap allocation.
 ///
-/// For gamma == 0 (the paper's n-gram setting, used by every NYT series)
-/// the whole post-generalization pipeline collapses into one run-based
-/// scan: chains cannot cross blanks, so unreachability is the distance to
-/// the nearest in-run pivot, isolated-pivot removal is "drop singleton
-/// runs", and blank compression falls out of the emission order. Identical
-/// output to Rewriter (differential-tested in tests/rewrite_test.cc).
+/// `RewriteAllPivots` computes every pivot's [w | P_w(T)] key of one
+/// transaction in a single occurrence-driven pass, with a run-walk
+/// specialization for gamma == 0 (the paper's n-gram setting, used by
+/// every NYT series) and a windowed distance DP for gamma > 0. Both are
+/// output-identical to Rewriter::Rewrite per pivot (differential-tested in
+/// tests/rewrite_test.cc). `Generalize` serves the generalize-only
+/// ablation level.
 ///
 /// Instances are NOT thread-safe; the LASH driver keeps one per pool worker.
 class ScratchRewriter {
@@ -84,18 +85,14 @@ class ScratchRewriter {
   /// The hierarchy must be in rank space (IsRankMonotone()).
   ScratchRewriter(const Hierarchy* hierarchy, uint32_t gamma, uint32_t lambda);
 
-  /// Computes P_w(T) into *out (clobbered). Returns false — with *out left
-  /// empty — exactly when Rewriter::Rewrite would return an empty sequence.
-  bool Rewrite(SequenceView t, ItemId pivot, Sequence* out);
-
   /// Step 1 (w-generalization) alone, into *out (clobbered).
   void Generalize(SequenceView t, ItemId pivot, Sequence* out) const;
 
   /// The fused LASH partitioning loop: computes [w | P_w(T)] for *every*
   /// frequent pivot w of G1(T) and calls `emit_key(key)` for each
   /// non-empty rewrite, with pivots ascending. Exactly equivalent to
-  /// collecting G1(T), calling Rewrite per pivot and prepending the pivot —
-  /// but occurrence-driven: one ancestor-chain walk collects
+  /// collecting G1(T), calling Rewriter::Rewrite per pivot and prepending
+  /// the pivot — but occurrence-driven: one ancestor-chain walk collects
   /// (pivot, position) occurrence pairs (gen_w(T)[i] == w iff w is an
   /// ancestor-or-self of T[i]), then each pivot rewrites only the bounded
   /// neighborhood of its occurrences instead of re-scanning the whole
@@ -347,8 +344,6 @@ class ScratchRewriter {
   }
 
  private:
-  bool RewriteGammaZero(SequenceView t, ItemId pivot, Sequence* out);
-
   const Hierarchy* hierarchy_;
   uint32_t gamma_;
   uint32_t lambda_;

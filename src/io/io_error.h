@@ -2,7 +2,6 @@
 #define LASH_IO_IO_ERROR_H_
 
 #include <cstdint>
-#include <istream>
 #include <string_view>
 #include <stdexcept>
 #include <string>
@@ -12,35 +11,17 @@
 
 namespace lash {
 
-/// Reads a whole stream into one string. Seekable streams (files) are read
-/// with a single sized read instead of a byte-by-byte iterator — on a
-/// multi-megabyte snapshot that is the difference between ~0.2 ms and
-/// several ms of istreambuf_iterator overhead.
-inline std::string ReadAllBytes(std::istream& in) {
-  const std::streampos start = in.tellg();
-  if (start != std::streampos(-1) && in.seekg(0, std::ios::end)) {
-    const std::streampos end = in.tellg();
-    in.seekg(start);
-    std::string data(static_cast<size_t>(end - start), '\0');
-    in.read(data.data(), static_cast<std::streamsize>(data.size()));
-    data.resize(static_cast<size_t>(in.gcount()));
-    return data;
-  }
-  in.clear();
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-/// What went wrong while decoding a binary container (io/binary_io.h,
-/// io/snapshot.h). One typed taxonomy shared by every reader, so callers
-/// can distinguish "not this format at all" (kBadMagic), "this format from
-/// the future" (kBadVersion), "cut short" (kTruncated), and "bit rot"
+/// What went wrong while decoding binary input (the snapshot of
+/// io/snapshot.h, result codecs, wire frames, cache keys). One typed
+/// taxonomy shared by every reader, so callers can distinguish "not this
+/// format at all" (kBadMagic), "a version this reader does not read"
+/// (kBadVersion), "cut short" (kTruncated), and "bit rot"
 /// (kChecksumMismatch) without string matching.
 enum class IoErrorKind {
   kOpenFailed,        ///< File/stream could not be opened or read.
   kTruncated,         ///< Input ended inside a field.
   kBadMagic,          ///< Leading magic does not identify the format.
-  kBadVersion,        ///< Version newer than this reader understands.
+  kBadVersion,        ///< Version this reader does not understand.
   kChecksumMismatch,  ///< Section bytes do not hash to the stored checksum.
   kMalformed,         ///< Structurally invalid (bad varint, bounds, counts).
   kWriteFailed,       ///< Output stream rejected a write.
@@ -72,8 +53,8 @@ class IoError : public std::runtime_error {
 
 /// Cursor over an in-memory buffer with hardened decoding: every failure is
 /// an IoError carrying the byte offset at which it happened. Shared by the
-/// binary container readers (io/binary_io.cc) and the snapshot reader
-/// (io/snapshot.cc), so all of them fail the same way.
+/// result codecs (io/result_io.cc), the wire decoders (net/wire.cc) and the
+/// cache-key decoder (serve/task_spec.cc), so all of them fail the same way.
 class ByteReader {
  public:
   /// `what` names the container in error messages ("database", "snapshot

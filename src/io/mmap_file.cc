@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "io/io_error.h"
@@ -91,7 +92,8 @@ MmapFile MmapFile::Open(const std::string& path) {
   // (no page sharing, but identical lifetime semantics).
   std::ifstream in(path, std::ios::binary);
   if (!in) OpenFail(path, "cannot open file");
-  std::string bytes = ReadAllBytes(in);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
   file.fallback_ = std::make_unique<char[]>(bytes.size() ? bytes.size() : 1);
   std::memcpy(file.fallback_.get(), bytes.data(), bytes.size());
   file.data_ = file.fallback_.get();

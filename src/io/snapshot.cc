@@ -10,7 +10,6 @@
 
 #include "io/io_error.h"
 #include "util/hash.h"
-#include "util/varint.h"
 
 namespace lash {
 
@@ -29,15 +28,6 @@ enum SectionId : uint32_t {
   kStats = 5,          // u64 x 4.
   kRankOrder = 6,      // u32 n; u32 rank_of_raw[n + 1].
   kCorpusArena = 7,    // u64 total_items; u32 items[total_items].
-};
-
-// v1 section ids (varint payloads; the legacy decoder below).
-enum V1SectionId : uint32_t {
-  kV1Vocabulary = 1,
-  kV1Hierarchy = 2,
-  kV1Corpus = 3,
-  kV1Flist = 4,
-  kV1Stats = 5,
 };
 
 constexpr size_t kHeaderFixedBytes = 13;   // magic + version byte + u32 count.
@@ -79,10 +69,6 @@ void AppendLeU64(std::string* out, uint64_t v) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
   }
 }
-
-void PutFixed64(std::string* out, uint64_t value) { AppendLeU64(out, value); }
-
-uint64_t GetFixed64(const char* data) { return LoadLeU64(data); }
 
 /// The LE file bytes of `count` integers: on little-endian hosts, a view
 /// straight over the array (the zero-copy write path); elsewhere an owned
@@ -351,230 +337,9 @@ const V2Entry& RequireEntry(const std::vector<V2Entry>& entries, uint32_t id,
   return *e;
 }
 
-// ---- v1 legacy codec -----------------------------------------------------
-
-std::string EncodeV1Vocabulary(const Vocabulary& vocab) {
-  std::string out;
-  const size_t n = vocab.NumItems();
-  PutVarint64(&out, n);
-  for (size_t id = 1; id <= n; ++id) {
-    const std::string_view name = vocab.Name(static_cast<ItemId>(id));
-    PutVarint64(&out, name.size());
-    out.append(name);
-  }
-  return out;
-}
-
-std::string EncodeV1Hierarchy(const Vocabulary& vocab) {
-  std::string out;
-  const size_t n = vocab.NumItems();
-  PutVarint64(&out, n);
-  for (size_t id = 1; id <= n; ++id) {
-    ItemId parent = vocab.Parent(static_cast<ItemId>(id));
-    PutVarint32(&out, parent == kInvalidItem ? 0 : parent);
-  }
-  return out;
-}
-
-std::string EncodeV1Corpus(const FlatDatabase& db) {
-  std::string out;
-  PutVarint64(&out, db.size());
-  PutVarint64(&out, db.TotalItems());
-  for (SequenceView t : db) {
-    PutVarint64(&out, t.size());
-    for (ItemId w : t) PutVarint32(&out, w);
-  }
-  return out;
-}
-
-std::string EncodeV1Flist(const ArrayRef<Frequency>& freq,
-                          const ArrayRef<ItemId>& rank_of_raw) {
-  std::string out;
-  PutVarint64(&out, freq.size() - 1);
-  for (size_t r = 1; r < freq.size(); ++r) {
-    PutVarint64(&out, freq[r]);
-  }
-  for (size_t raw = 1; raw < rank_of_raw.size(); ++raw) {
-    PutVarint32(&out, rank_of_raw[raw]);
-  }
-  return out;
-}
-
-std::string EncodeV1Stats(const DatasetStats& stats) {
-  std::string out;
-  PutVarint64(&out, stats.num_sequences);
-  PutVarint64(&out, stats.total_items);
-  PutVarint64(&out, stats.max_length);
-  PutVarint64(&out, stats.unique_items);
-  return out;
-}
-
-/// Decodes a whole v1 container held in memory (the pre-v2 reader,
-/// preserved as the compatibility fallback; always copies).
-DatasetSnapshot DecodeV1(std::string_view data) {
-  ByteReader header(data, "snapshot header");
-  (void)header.ReadBytes(sizeof(kMagic), "magic");
-  (void)header.ReadVarint32("version");  // Caller sniffed it as 1.
-  const uint32_t num_sections = header.ReadVarint32("section count");
-
-  struct TableEntry {
-    uint32_t id;
-    uint64_t offset;
-    uint64_t length;
-    uint64_t checksum;
-  };
-  std::vector<TableEntry> table;
-  table.reserve(num_sections);
-  for (uint32_t i = 0; i < num_sections; ++i) {
-    TableEntry e;
-    e.id = header.ReadVarint32("section id");
-    e.offset = header.ReadVarint64("section offset");
-    e.length = header.ReadVarint64("section length");
-    e.checksum = GetFixed64(header.ReadBytes(8, "section checksum").data());
-    if (e.offset > data.size() || e.length > data.size() - e.offset) {
-      throw IoError(IoErrorKind::kTruncated, header.pos(),
-                    "snapshot: section " + std::to_string(e.id) +
-                        " extends past end of file");
-    }
-    table.push_back(e);
-  }
-
-  auto find = [&](uint32_t id) -> const TableEntry* {
-    for (const TableEntry& e : table) {
-      if (e.id == id) return &e;
-    }
-    return nullptr;
-  };
-  // Sections are checksummed and parsed *in place* over `data` (a bounded
-  // string_view window) — no multi-MB substring copy of the corpus section.
-  auto load = [&](uint32_t id, const char* what) {
-    const TableEntry* e = find(id);
-    if (e == nullptr) {
-      throw IoError(IoErrorKind::kMalformed, 0,
-                    std::string("snapshot: missing required section ") + what);
-    }
-    std::string_view payload(data.data() + e->offset,
-                             static_cast<size_t>(e->length));
-    const uint64_t actual = FnvHashBytes(payload.data(), payload.size());
-    if (actual != e->checksum) {
-      throw IoError(IoErrorKind::kChecksumMismatch, e->offset,
-                    std::string("snapshot: section ") + what +
-                        " failed checksum verification");
-    }
-    return payload;
-  };
-
-  DatasetSnapshot snap;
-
-  std::vector<std::string> names(1);
-  {
-    const std::string_view payload = load(kV1Vocabulary, "vocabulary");
-    ByteReader r(payload, "snapshot vocabulary section",
-                 find(kV1Vocabulary)->offset);
-    const uint64_t n = r.ReadVarint64("item count");
-    if (n > payload.size()) r.Malformed("item count exceeds section size");
-    names.reserve(n + 1);
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint64_t len = r.ReadVarint64("name length");
-      names.push_back(r.ReadBytes(len, "name bytes"));
-    }
-  }
-  const size_t n = names.size() - 1;
-  snap.vocabulary.Reserve(n);
-  for (size_t id = 1; id <= n; ++id) {
-    if (snap.vocabulary.AddItem(names[id]) != static_cast<ItemId>(id)) {
-      throw IoError(IoErrorKind::kMalformed, find(kV1Vocabulary)->offset,
-                    "snapshot vocabulary section: duplicate name '" +
-                        names[id] + "'");
-    }
-  }
-
-  {
-    const std::string_view payload = load(kV1Hierarchy, "hierarchy");
-    ByteReader r(payload, "snapshot hierarchy section",
-                 find(kV1Hierarchy)->offset);
-    const uint64_t count = r.ReadVarint64("item count");
-    if (count != n) {
-      r.Malformed("hierarchy item count disagrees with vocabulary");
-    }
-    for (uint64_t id = 1; id <= count; ++id) {
-      const uint32_t p = r.ReadVarint32("parent id");
-      if (p > n || p == id) r.Malformed("parent id out of range or self");
-      if (p != 0) {
-        snap.vocabulary.SetParent(static_cast<ItemId>(id), p);
-      }
-    }
-  }
-
-  {
-    const std::string_view payload = load(kV1Corpus, "corpus");
-    ByteReader r(payload, "snapshot corpus section", find(kV1Corpus)->offset);
-    const uint64_t count = r.ReadVarint64("sequence count");
-    const uint64_t total_items = r.ReadVarint64("total item count");
-    if (count > payload.size() || total_items > payload.size()) {
-      r.Malformed("corpus counts exceed section size");
-    }
-    snap.ranked_corpus.Reserve(count, total_items);
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t len = r.ReadVarint64("sequence length");
-      if (len > payload.size()) r.Malformed("sequence length out of range");
-      ItemId* items = snap.ranked_corpus.AppendSlot(len);
-      for (uint64_t j = 0; j < len; ++j) {
-        const uint32_t rank = r.ReadVarint32("item rank");
-        if (rank == kInvalidItem || rank > n) {
-          r.Malformed("item rank out of range");
-        }
-        items[j] = rank;
-      }
-    }
-  }
-
-  {
-    const std::string_view payload = load(kV1Flist, "f-list");
-    ByteReader r(payload, "snapshot f-list section", find(kV1Flist)->offset);
-    const uint64_t count = r.ReadVarint64("rank count");
-    if (count != n) r.Malformed("f-list rank count disagrees with vocabulary");
-    std::vector<Frequency> freq(n + 1, 0);
-    for (uint64_t rank = 1; rank <= count; ++rank) {
-      freq[rank] = r.ReadVarint64("frequency");
-      if (rank > 1 && freq[rank] > freq[rank - 1]) {
-        r.Malformed("f-list is not non-increasing over ranks");
-      }
-    }
-    std::vector<ItemId> rank_of_raw(n + 1, kInvalidItem);
-    std::vector<char> seen(n + 1, 0);
-    for (uint64_t raw = 1; raw <= count; ++raw) {
-      const uint32_t rank = r.ReadVarint32("rank of raw id");
-      if (rank == kInvalidItem || rank > n || seen[rank]) {
-        r.Malformed("rank order is not a permutation of 1..n");
-      }
-      seen[rank] = 1;
-      rank_of_raw[raw] = rank;
-    }
-    snap.freq = std::move(freq);
-    snap.rank_of_raw = std::move(rank_of_raw);
-  }
-
-  {
-    const std::string_view payload = load(kV1Stats, "stats");
-    ByteReader r(payload, "snapshot stats section", find(kV1Stats)->offset);
-    snap.stats.num_sequences = r.ReadVarint64("num sequences");
-    snap.stats.total_items = r.ReadVarint64("total items");
-    snap.stats.max_length = r.ReadVarint64("max length");
-    snap.stats.unique_items = r.ReadVarint64("unique items");
-    snap.stats.avg_length =
-        snap.stats.num_sequences == 0
-            ? 0.0
-            : static_cast<double>(snap.stats.total_items) /
-                  static_cast<double>(snap.stats.num_sequences);
-  }
-
-  return snap;
-}
-
-/// Sniffs the leading magic + version. Throws kBadMagic / kTruncated /
-/// kBadVersion; returns 1 or 2.
-uint32_t SniffVersion(const char* data, size_t size) {
+/// Checks the leading magic + version byte. Throws kBadMagic / kTruncated,
+/// and kBadVersion for every version other than kSnapshotVersion.
+void CheckMagicAndVersion(const char* data, size_t size) {
   if (size < sizeof(kMagic) ||
       std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
     throw IoError(IoErrorKind::kBadMagic, 0,
@@ -585,15 +350,12 @@ uint32_t SniffVersion(const char* data, size_t size) {
                   "snapshot: cannot decode version");
   }
   const unsigned char version = static_cast<unsigned char>(data[8]);
-  // Versions 1 and 2 are single-byte varints; anything else (including a
-  // multi-byte varint continuation) is from the future.
-  if (version != 1 && version != kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     throw IoError(IoErrorKind::kBadVersion, 8,
                   "snapshot: version " + std::to_string(version) +
-                      " is newer than supported version " +
+                      " is not the supported version " +
                       std::to_string(kSnapshotVersion));
   }
-  return version;
 }
 
 // ---- v2 mapped reader ----------------------------------------------------
@@ -808,8 +570,8 @@ DatasetSnapshot ParseV2Stream(std::istream& in, std::streampos base) {
     snap.stats = ParseStatsSection(payload.data(), payload.size(), es.offset);
   }
 
-  // Corpus: stream the arrays straight into their destination buffers —
-  // the fix for the v1 reader's double buffering (whole-file slurp + copy).
+  // Corpus: stream the arrays straight into their destination buffers,
+  // never through a whole-file buffer.
   // The checksum runs over the destination bytes as read; on big-endian
   // hosts the elements are fixed up in place afterwards.
   const V2Entry& eo = RequireEntry(entries, kCorpusOffsets, "corpus-offsets");
@@ -1013,9 +775,8 @@ void WriteDatasetSnapshotParts(std::ostream& out, const Vocabulary& vocab,
     sections.push_back(std::move(arena));
   }
 
-  // Fixed-width table: offsets are computable in one pass (no varint
-  // fixed-point convergence like v1 needed). Every payload starts
-  // 64-byte-aligned so a page-aligned mapping yields aligned arrays.
+  // Fixed-width table: offsets are computable in one pass. Every payload
+  // starts 64-byte-aligned so a page-aligned mapping yields aligned arrays.
   uint64_t offset =
       kHeaderFixedBytes + kTableEntryBytes * sections.size();
   for (SectionOut& s : sections) {
@@ -1054,87 +815,16 @@ void WriteDatasetSnapshotParts(std::ostream& out, const Vocabulary& vocab,
   }
 }
 
-void WriteDatasetSnapshotV1(std::ostream& out, const Vocabulary& vocab,
-                            const FlatDatabase& ranked_corpus,
-                            const ArrayRef<Frequency>& freq,
-                            const ArrayRef<ItemId>& rank_of_raw,
-                            const DatasetStats& stats) {
-  const size_t n = vocab.NumItems();
-  if (freq.size() != n + 1 || rank_of_raw.size() != n + 1) {
-    throw IoError(IoErrorKind::kMalformed, 0,
-                  "snapshot: inconsistent vocabulary/f-list sizes");
-  }
-  struct Section {
-    uint32_t id;
-    std::string payload;
-  };
-  std::vector<Section> sections;
-  sections.push_back({kV1Vocabulary, EncodeV1Vocabulary(vocab)});
-  sections.push_back({kV1Hierarchy, EncodeV1Hierarchy(vocab)});
-  sections.push_back({kV1Corpus, EncodeV1Corpus(ranked_corpus)});
-  sections.push_back({kV1Flist, EncodeV1Flist(freq, rank_of_raw)});
-  sections.push_back({kV1Stats, EncodeV1Stats(stats)});
-
-  // The v1 table encodes file-absolute payload offsets as varints, which
-  // depend on the table's own size — circular, so the header is built
-  // twice: once with zero offsets to learn its size, then for real.
-  auto build_header = [&](uint64_t payload_base) {
-    std::string header(kMagic, sizeof(kMagic));
-    PutVarint32(&header, 1);  // Version 1.
-    PutVarint32(&header, static_cast<uint32_t>(sections.size()));
-    uint64_t offset = payload_base;
-    for (const Section& s : sections) {
-      PutVarint32(&header, s.id);
-      PutVarint64(&header, offset);
-      PutVarint64(&header, s.payload.size());
-      PutFixed64(&header, FnvHashBytes(s.payload.data(), s.payload.size()));
-      offset += s.payload.size();
-    }
-    return header;
-  };
-  std::string header = build_header(0);
-  bool converged = false;
-  for (int round = 0; round < 8 && !converged; ++round) {
-    std::string next = build_header(header.size());
-    converged = next.size() == header.size();
-    header = std::move(next);
-  }
-  if (!converged) {
-    throw IoError(IoErrorKind::kWriteFailed, 0,
-                  "snapshot: header offset encoding did not converge");
-  }
-
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  for (const Section& s : sections) {
-    out.write(s.payload.data(), static_cast<std::streamsize>(s.payload.size()));
-  }
-  if (!out) {
-    throw IoError(IoErrorKind::kWriteFailed, 0, "snapshot: write failed");
-  }
-}
-
 DatasetSnapshot ReadDatasetSnapshot(std::istream& in) {
   const std::streampos base = in.tellg();
   char prefix[9];
   in.read(prefix, sizeof(prefix));
-  const size_t got = static_cast<size_t>(in.gcount());
-  const uint32_t version = SniffVersion(prefix, got);
-  if (version == 1) {
-    // Legacy container: the v1 varint decoder works over one in-memory
-    // buffer (acceptable for the compatibility path; v2 streams).
-    std::string data(prefix, got);
-    in.clear();
-    data += ReadAllBytes(in);
-    return DecodeV1(data);
-  }
+  CheckMagicAndVersion(prefix, static_cast<size_t>(in.gcount()));
   return ParseV2Stream(in, base);
 }
 
 DatasetSnapshot ReadDatasetSnapshotMapped(const char* data, size_t size) {
-  const uint32_t version = SniffVersion(data, size);
-  if (version == 1) {
-    return DecodeV1(std::string_view(data, size));
-  }
+  CheckMagicAndVersion(data, size);
   return ParseV2Mapped(data, size);
 }
 

@@ -24,9 +24,7 @@ namespace lash {
 /// ## Container layout, version 2 (fixed-width little-endian throughout)
 ///
 ///   offset 0   8 raw bytes   magic "LASHSNAP"
-///   offset 8   1 byte        format version (kSnapshotVersion; also a
-///                            valid varint, so v1 readers reject it as a
-///                            future version)
+///   offset 8   1 byte        format version (kSnapshotVersion)
 ///   offset 9   u32           section count
 ///   offset 13  32 bytes/sec  section table: u32 id, u32 flags, u64 payload
 ///                            offset (file-absolute), u64 payload length,
@@ -57,14 +55,13 @@ namespace lash {
 /// in DatasetSnapshot::deferred for Dataset::VerifyCorpus; the copying
 /// reader always verifies everything at load.
 ///
-/// Readers reject unknown magic (IoErrorKind::kBadMagic), versions newer
-/// than kSnapshotVersion (kBadVersion), out-of-bounds or misaligned section
-/// tables (kTruncated/kMalformed), and payloads whose checksum does not
-/// match (kChecksumMismatch). Unknown section ids are ignored, so a future
+/// Readers reject unknown magic (IoErrorKind::kBadMagic), every version
+/// other than kSnapshotVersion (kBadVersion), out-of-bounds or misaligned
+/// section tables (kTruncated/kMalformed), and payloads whose checksum does
+/// not match (kChecksumMismatch). Unknown section ids are ignored, so a future
 /// version can *add* sections without a version bump; any change to an
 /// existing section's encoding must bump kSnapshotVersion (see ROADMAP
-/// "Storage layer"). Version-1 containers (varint sections) remain fully
-/// readable: both readers fall back to the v1 decoder, which always copies.
+/// "Storage layer").
 struct SnapshotDeferredCheck {
   const char* what;    ///< Section name for error messages.
   const char* data;    ///< Payload bytes inside the caller's mapping.
@@ -110,32 +107,22 @@ void WriteDatasetSnapshotParts(std::ostream& out, const Vocabulary& vocab,
                                const ArrayRef<ItemId>& rank_of_raw,
                                const DatasetStats& stats);
 
-/// Writes the *legacy v1* container (varint sections, version byte 1).
-/// Kept so the v1-through-current-reader compatibility path stays testable
-/// without fixture files; new code always writes v2.
-void WriteDatasetSnapshotV1(std::ostream& out, const Vocabulary& vocab,
-                            const FlatDatabase& ranked_corpus,
-                            const ArrayRef<Frequency>& freq,
-                            const ArrayRef<ItemId>& rank_of_raw,
-                            const DatasetStats& stats);
-
 /// Parses and validates a snapshot by copying (magic, version, section
 /// table bounds and alignment, every checksum, cross-section size
-/// consistency, corpus item ranges). v2 sections are streamed straight
-/// into their destination arenas — the file is never slurped whole; v1
-/// containers take the legacy in-memory decode path. The stream must be
-/// seekable for v2 (files and stringstreams are). Throws IoError.
+/// consistency, corpus item ranges). Sections are streamed straight into
+/// their destination arenas — the file is never slurped whole. The stream
+/// must be seekable (files and stringstreams are). Throws IoError.
 DatasetSnapshot ReadDatasetSnapshot(std::istream& in);
 
-/// Parses a snapshot over `[data, data + size)` — for v2 containers on a
-/// little-endian host, *zero-copy*: names, corpus, f-list and rank order
+/// Parses a snapshot over `[data, data + size)` — on a little-endian
+/// host, *zero-copy*: names, corpus, f-list and rank order
 /// borrow the buffer, which must then outlive the returned snapshot and
 /// everything moved out of it (the Dataset owns the MmapFile for exactly
 /// this reason). Header and small sections are checksum-verified eagerly;
 /// the two corpus sections' checksums are returned in `deferred` instead
 /// of being verified (their O(corpus) page faults are the cost this path
-/// exists to avoid). v1 containers and big-endian hosts decode by copying
-/// with nothing deferred. Throws IoError.
+/// exists to avoid). Big-endian hosts decode by copying with nothing
+/// deferred. Throws IoError.
 DatasetSnapshot ReadDatasetSnapshotMapped(const char* data, size_t size);
 
 }  // namespace lash

@@ -68,7 +68,20 @@ void NetClient::Disconnect() {
   rbuf_.clear();
 }
 
+bool NetClient::PooledConnectionIsClean() {
+  if (!rbuf_.empty()) return false;
+  pollfd pfd{fd_.get(), POLLIN, 0};
+  const int ready = ::poll(&pfd, 1, 0);
+  if (ready == 0) return true;  // Nothing pending: still open and quiet.
+  if (ready < 0) return false;
+  // Readable while idle: EOF (0), an error, or bytes nobody asked for.
+  char byte;
+  const ssize_t n = ::recv(fd_.get(), &byte, 1, MSG_PEEK);
+  return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+}
+
 void NetClient::EnsureConnected() {
+  if (fd_.valid() && !PooledConnectionIsClean()) Disconnect();
   if (fd_.valid()) return;
   std::string last_error = "no attempt made";
   const int attempts = 1 + (options_.connect_retries > 0
@@ -208,32 +221,17 @@ std::string NetClient::ReadFrame() {
 }
 
 std::string NetClient::Exchange(const std::string& payload) {
-  // A pooled connection can be stale (the server restarted or closed an
-  // idle connection); a failure before any response byte arrives is safe
-  // to retry once on a fresh connection. A timeout is not retried — the
-  // budget is gone.
-  const bool reused = fd_.valid();
+  // A stale pooled connection (the server restarted or closed it while
+  // idle) is replaced before anything is sent. Once request bytes are on
+  // the wire nothing is retried: the peer may already have executed the
+  // request, and a mine or count must not run twice.
   std::string frame;
   AppendFrame(&frame, payload);
-  for (int attempt = 0;; ++attempt) {
-    EnsureConnected();
-    if (options_.io_timeout_ms > 0) {
-      io_deadline_ms_ = NowMs() + options_.io_timeout_ms;
-    } else {
-      io_deadline_ms_ = 0;
-    }
-    try {
-      SendAll(frame);
-      return ReadFrame();
-    } catch (const ServeError& e) {
-      if (e.code() == ServeErrorCode::kExecutionFailed && reused &&
-          attempt == 0 && rbuf_.empty()) {
-        Disconnect();
-        continue;
-      }
-      throw;
-    }
-  }
+  EnsureConnected();
+  io_deadline_ms_ =
+      options_.io_timeout_ms > 0 ? NowMs() + options_.io_timeout_ms : 0;
+  SendAll(frame);
+  return ReadFrame();
 }
 
 template <typename Decode>
@@ -316,6 +314,7 @@ std::vector<obs::MetricSample> NetClient::Metrics() {
 
 std::string NetClient::Exchange(const std::string&) { return {}; }
 void NetClient::EnsureConnected() {}
+bool NetClient::PooledConnectionIsClean() { return false; }
 void NetClient::SendAll(const std::string&) {}
 std::string NetClient::ReadFrame() { return {}; }
 void NetClient::WaitIo(short) {}

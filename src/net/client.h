@@ -50,8 +50,12 @@ struct CountReply {
 ///   * remote typed failures arrive as their original code (queue_full,
 ///     invalid_task, ...);
 ///   * a request/response timeout throws kDeadlineExceeded;
-///   * connection refused/lost after retries, or a malformed response,
-///     throws kExecutionFailed.
+///   * connection refused after retries, a connection lost once the
+///     request was sent, or a malformed response throws kExecutionFailed.
+///
+/// Only connecting is retried. A request is sent at most once: before
+/// reuse, an idle connection the peer closed is replaced, and a failure
+/// after sending is never re-sent (the peer may already have run it).
 ///
 /// Not thread-safe; give each thread its own client (connections are
 /// cheap, and the router does exactly that).
@@ -85,7 +89,8 @@ class NetClient {
 
  private:
   /// Ensures a live connection (connect + retries) and performs one framed
-  /// request/response exchange. Throws ServeError.
+  /// request/response exchange. Never re-sends: a failure after the
+  /// request went out throws. Throws ServeError.
   std::string Exchange(const std::string& payload);
 
   /// Exchanges `request` and decodes a reply of type `expected` with
@@ -96,7 +101,12 @@ class NetClient {
   auto Call(const std::string& request, MessageType expected,
             const char* what, Decode decode);
 
+  /// Reconnects unless the pooled connection is clean (see
+  /// PooledConnectionIsClean), retrying the connect with backoff.
   void EnsureConnected();
+  /// Zero-timeout probe of the idle pooled connection: false if the peer
+  /// closed it, it errored, or it holds bytes nobody asked for.
+  bool PooledConnectionIsClean();
   void SendAll(const std::string& bytes);
   std::string ReadFrame();
   /// Polls `fd_` for `events` within the call's remaining budget; throws

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -1050,6 +1053,114 @@ TEST(NetFaultTest, MalformedFrameClosesOnlyThatConnection) {
   const TaskSpec spec = PaperSpec(Algorithm::kSequential);
   const MineReply reply = client.Mine(spec);
   EXPECT_GT(reply.patterns.size(), 0u);
+}
+
+/// A scripted fake worker for client-side connection tests. It serves
+/// loopback connections one after another and counts every request frame
+/// it reads across all of them; `script(n)` (n = 1-based frame count)
+/// picks what happens to frame n. Replies are empty metrics responses.
+class ScriptedServer {
+ public:
+  enum class Action { kReply, kReplyThenClose, kCloseWithoutReply };
+
+  explicit ScriptedServer(std::function<Action(int)> script)
+      : listener_(ListenTcp("127.0.0.1", 0)),
+        script_(std::move(script)),
+        thread_([this] { Run(); }) {}
+  ~ScriptedServer() {
+    stop_ = true;
+    thread_.join();
+  }
+  ScriptedServer(const ScriptedServer&) = delete;
+  ScriptedServer& operator=(const ScriptedServer&) = delete;
+
+  uint16_t port() const { return listener_.bound_port; }
+  int requests() const { return requests_; }
+  int connections() const { return connections_; }
+
+  /// Blocks until the server has closed `n` connections (5 s cap).
+  void WaitClosed(int n) const {
+    for (int i = 0; i < 5000 && closed_ < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+ private:
+  void Run() {
+    while (!stop_) {
+      pollfd pfd{listener_.fd.get(), POLLIN, 0};
+      if (::poll(&pfd, 1, 10) <= 0) continue;
+      UniqueFd conn(::accept(listener_.fd.get(), nullptr, nullptr));
+      if (!conn.valid()) continue;
+      ++connections_;
+      Serve(conn.get());
+      conn.Reset();
+      ++closed_;
+    }
+  }
+
+  void Serve(int fd) {
+    std::string buffer, payload;
+    while (!stop_) {
+      if (TryExtractFrame(&buffer, &payload) == FrameStatus::kFrame) {
+        const Action action = script_(++requests_);
+        if (action == Action::kCloseWithoutReply) return;
+        std::string frame;
+        AppendFrame(&frame, EncodeMetricsResponse({}));
+        ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+        if (action == Action::kReplyThenClose) return;
+        continue;
+      }
+      pollfd pfd{fd, POLLIN, 0};
+      if (::poll(&pfd, 1, 10) <= 0) continue;
+      char buf[4096];
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) return;
+      buffer.append(buf, static_cast<size_t>(n));
+    }
+  }
+
+  ListenSocket listener_;
+  std::function<Action(int)> script_;
+  std::atomic<bool> stop_{false};
+  std::atomic<int> requests_{0};
+  std::atomic<int> connections_{0};
+  std::atomic<int> closed_{0};
+  std::thread thread_;
+};
+
+TEST(NetFaultTest, LostReplyOnReusedConnectionIsNeverResent) {
+  // The peer reads the second request and dies without replying. It may
+  // have executed it, so the client must fail rather than send it again.
+  using Action = ScriptedServer::Action;
+  ScriptedServer server([](int n) {
+    return n == 1 ? Action::kReply : Action::kCloseWithoutReply;
+  });
+  NetClient client("127.0.0.1", server.port(), FastFail());
+  EXPECT_TRUE(client.Metrics().empty());
+  try {
+    client.Metrics();
+    FAIL() << "a lost reply was not surfaced";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ServeErrorCode::kExecutionFailed);
+  }
+  EXPECT_EQ(server.requests(), 2);
+  EXPECT_EQ(server.connections(), 1);
+}
+
+TEST(NetFaultTest, IdleConnectionClosedByPeerIsReplacedBeforeSending) {
+  // The peer closes the pooled connection after the first reply. The next
+  // call must notice before sending and go out once, on a new connection.
+  using Action = ScriptedServer::Action;
+  ScriptedServer server([](int n) {
+    return n == 1 ? Action::kReplyThenClose : Action::kReply;
+  });
+  NetClient client("127.0.0.1", server.port(), FastFail());
+  EXPECT_TRUE(client.Metrics().empty());
+  server.WaitClosed(1);
+  EXPECT_TRUE(client.Metrics().empty());
+  EXPECT_EQ(server.requests(), 2);
+  EXPECT_EQ(server.connections(), 2);
 }
 
 #endif  // __linux__

@@ -1,9 +1,8 @@
 // Tests for the one-file dataset snapshot (io/snapshot.h + Dataset::Save /
 // Dataset::FromSnapshot): round-trip equality of every restored component in
-// both load modes (copy and mmap), the v2 corruption matrix (truncation,
-// flipped magic, future version, misaligned section, eager vs deferred
-// checksums), v1-container compatibility through the current readers, and
-// facade parity — FromSnapshot(Save(d)) must answer every algorithm exactly
+// both load modes (copy and mmap), the corruption matrix (truncation,
+// flipped magic, any version other than the current one, misaligned
+// section, eager vs deferred checksums), and facade parity — FromSnapshot(Save(d)) must answer every algorithm exactly
 // like the text-loaded dataset, in either load mode.
 
 #include "io/snapshot.h"
@@ -285,17 +284,37 @@ TEST(SnapshotTest, RejectsFlippedMagic) {
 }
 
 TEST(SnapshotTest, RejectsFutureVersion) {
-  std::string bytes = SnapshotBytes(PaperDataset());
-  // The version byte follows the 8-byte magic (it is also a valid varint,
-  // so a v1 reader rejects v2+ containers the same way).
-  ASSERT_EQ(static_cast<unsigned char>(bytes[8]), kSnapshotVersion);
-  bytes[8] = 0x7f;  // Version 127: far future.
-  for (Dataset::LoadMode mode : kBothModes) {
-    try {
-      FromBytes(bytes, mode);
-      FAIL() << "expected IoError";
-    } catch (const IoError& e) {
-      EXPECT_EQ(e.kind(), IoErrorKind::kBadVersion);
+  // Every version byte other than kSnapshotVersion is kBadVersion: the far
+  // future, the retired varint-section version 1, and 0 alike, through
+  // both readers and the facade in both load modes.
+  const std::string pristine = SnapshotBytes(PaperDataset());
+  ASSERT_EQ(static_cast<unsigned char>(pristine[8]), kSnapshotVersion);
+  for (const char version : {'\x7f', '\x01', '\x00'}) {
+    std::string bytes = pristine;
+    bytes[8] = version;  // The version byte follows the 8-byte magic.
+    auto expect_bad_version = [&](auto&& load, const char* reader) {
+      try {
+        load();
+        FAIL() << "expected IoError from " << reader << " for version "
+               << static_cast<int>(version);
+      } catch (const IoError& e) {
+        EXPECT_EQ(e.kind(), IoErrorKind::kBadVersion)
+            << reader << ": " << e.what();
+        EXPECT_EQ(e.byte_offset(), 8u) << reader;
+      }
+    };
+    expect_bad_version(
+        [&] {
+          std::stringstream in(bytes);
+          ReadDatasetSnapshot(in);
+        },
+        "ReadDatasetSnapshot");
+    expect_bad_version(
+        [&] { ReadDatasetSnapshotMapped(bytes.data(), bytes.size()); },
+        "ReadDatasetSnapshotMapped");
+    for (Dataset::LoadMode mode : kBothModes) {
+      expect_bad_version([&] { FromBytes(bytes, mode); },
+                         "Dataset::FromSnapshot");
     }
   }
 }
@@ -432,36 +451,6 @@ TEST(SnapshotTest, LowLevelRoundTrip) {
   for (const SnapshotDeferredCheck& check : mapped.deferred) {
     EXPECT_EQ(FnvHashBytes(check.data, check.length), check.checksum)
         << check.what;
-  }
-}
-
-TEST(SnapshotTest, V1ContainerLoadsThroughCurrentReaders) {
-  // Compatibility: a legacy v1 container (varint sections) must decode
-  // through both current readers and through the facade in both modes.
-  testing::PaperExample ex;
-  DatasetSnapshot snap = PaperSnapshot(ex);
-
-  std::stringstream buffer;
-  WriteDatasetSnapshotV1(buffer, snap.vocabulary, snap.ranked_corpus,
-                         snap.freq, snap.rank_of_raw, snap.stats);
-  const std::string bytes = buffer.str();
-  ASSERT_EQ(static_cast<unsigned char>(bytes[8]), 1u);  // v1 version byte.
-
-  DatasetSnapshot decoded = ReadDatasetSnapshot(buffer);
-  ExpectSnapshotsEqual(decoded, snap);
-
-  DatasetSnapshot mapped = ReadDatasetSnapshotMapped(bytes.data(),
-                                                     bytes.size());
-  ExpectSnapshotsEqual(mapped, snap);
-  EXPECT_TRUE(mapped.deferred.empty());  // v1 always copies, defers nothing.
-
-  for (Dataset::LoadMode mode : kBothModes) {
-    Dataset ds = FromBytes(bytes, mode);
-    EXPECT_FALSE(ds.mmap_backed());  // v1 degrades to a copy either way.
-    EXPECT_EQ(ds.NumItems(), snap.vocabulary.NumItems());
-    EXPECT_EQ(ds.preprocessed().database, snap.ranked_corpus);
-    EXPECT_EQ(ds.preprocessed().freq, snap.freq);
-    EXPECT_NO_THROW(ds.VerifyCorpus());
   }
 }
 
