@@ -310,48 +310,50 @@ int Main(int argc, char** argv) {
   const bool metrics_rpc_ok = worker_submitted >= 1.0;
 
   // --- Traced hits: what span recording costs. ---
-  // All-hits waves where every traced request carries a fresh trace id and
-  // the worker — sharing this process's global tracer — records every
-  // serve-pipeline span to a JSONL file. Traced and untraced requests send
-  // the same mine-request frame (an untraced one carries 24 zero trace
-  // bytes), so their difference is span bookkeeping and the fflush per
-  // span only. One pass is shorter than the noise at smoke size, so each
-  // rep runs one untraced and one traced pass, alternating which goes
-  // first, and the overhead is the median of the per-rep deltas of the
-  // pass averages (min/max give their spread).
-  constexpr int kTraceReps = 7;
+  // Measured per request: every hit of the stream is paired with a hit of
+  // the same spec, one traced and one untraced, back to back, alternating
+  // which goes first. Both halves of a pair see the same cache entry,
+  // connection and machine state, and they send the same mine-request
+  // frame (an untraced one carries 24 zero trace bytes), so the per-pair
+  // delta is span bookkeeping and the fflush per span only. Each traced
+  // request carries a fresh trace id, and the worker — sharing this
+  // process's global tracer — records every serve-pipeline span to a
+  // JSONL file. The overhead is the median of the per-pair deltas over
+  // kTracePasses passes of the stream; min/max and the quartiles give
+  // their spread.
+  constexpr int kTracePasses = 40;
   const std::string trace_path = out + ".trace.jsonl";
+  obs::Tracer::Global().OpenFile(trace_path);
   bool traced_parity = true;
   std::vector<double> traced_hit_ms, trace_deltas;
-  for (int rep = 0; rep < kTraceReps; ++rep) {
-    double pass_avg[2] = {0, 0};  // [untraced, traced]
-    for (int k = 0; k < 2; ++k) {
-      const bool traced = (k == 0) == (rep % 2 == 1);
-      if (traced) obs::Tracer::Global().OpenFile(trace_path);
-      std::vector<double> pass_ms;
-      for (size_t i = 0; i < stream.size(); ++i) {
+  for (int pass = 0; pass < kTracePasses; ++pass) {
+    for (size_t i = 0; i < stream.size(); ++i) {
+      double pair_ms[2] = {0, 0};  // [untraced, traced]
+      const bool traced_first = (pass + i) % 2 == 1;
+      for (int k = 0; k < 2; ++k) {
+        const bool traced = (k == 0) == traced_first;
         TaskSpec spec = stream[i];
         if (traced) spec.trace = obs::TraceContext{obs::TraceId::Make(), 0};
         Stopwatch clock;
         net::MineReply reply = client.Mine(spec);
-        pass_ms.push_back(clock.ElapsedMs());
+        pair_ms[traced ? 1 : 0] = clock.ElapsedMs();
         if (CanonicalBytes(reply.patterns) != baseline_bytes[i]) {
           std::fprintf(stderr, "%s HIT PARITY FAILURE at query %zu\n",
                        traced ? "TRACED" : "UNTRACED", i);
           traced_parity = false;
         }
       }
-      if (traced) {
-        obs::Tracer::Global().CloseFile();
-        traced_hit_ms.insert(traced_hit_ms.end(), pass_ms.begin(),
-                             pass_ms.end());
-      }
-      pass_avg[traced ? 1 : 0] = Avg(pass_ms);
+      traced_hit_ms.push_back(pair_ms[1]);
+      trace_deltas.push_back(pair_ms[1] - pair_ms[0]);
     }
-    trace_deltas.push_back(pass_avg[1] - pass_avg[0]);
   }
+  obs::Tracer::Global().CloseFile();
   std::remove(trace_path.c_str());
   std::sort(trace_deltas.begin(), trace_deltas.end());
+  auto delta_quantile = [&](double q) {
+    return trace_deltas[static_cast<size_t>(
+        q * static_cast<double>(trace_deltas.size() - 1) + 0.5)];
+  };
 
   // --- Count kernel vs the per-candidate scan, on one shard. ---
   // Summed over the stream's union candidate lists, best of 3 per side;
@@ -440,7 +442,7 @@ int Main(int argc, char** argv) {
   const double net_hit_avg = Avg(net_hit_ms);
   const double net_hit_overhead_ms = net_hit_avg - local_hit_avg;
   const double traced_hit_avg = Avg(traced_hit_ms);
-  const double trace_hit_overhead_ms = trace_deltas[kTraceReps / 2];
+  const double trace_hit_overhead_ms = delta_quantile(0.5);
   std::printf("in-process : cold avg %.2fms, hit avg %.4fms\n",
               Avg(local_cold_ms), local_hit_avg);
   std::printf("loopback   : cold avg %.2fms, hit avg %.4fms "
@@ -448,8 +450,10 @@ int Main(int argc, char** argv) {
               Avg(net_cold_ms), net_hit_avg, net_hit_overhead_ms,
               net_all_hits ? "yes" : "NO");
   std::printf("tracing    : traced hit avg %.4fms (trace overhead %+.4fms "
-              "per request, median of %d reps, range %+.4f..%+.4fms)\n",
-              traced_hit_avg, trace_hit_overhead_ms, kTraceReps,
+              "per request, median of %zu paired hits, quartiles "
+              "%+.4f..%+.4fms, range %+.4f..%+.4fms)\n",
+              traced_hit_avg, trace_hit_overhead_ms, trace_deltas.size(),
+              delta_quantile(0.25), delta_quantile(0.75),
               trace_deltas.front(), trace_deltas.back());
   const double router_avg = Avg(router_ms);
   const double twophase_avg = Avg(twophase_ms);
@@ -495,7 +499,9 @@ int Main(int argc, char** argv) {
       "  \"trace_hit_overhead_ms\": %.5f,\n"
       "  \"trace_hit_overhead_min_ms\": %.5f,\n"
       "  \"trace_hit_overhead_max_ms\": %.5f,\n"
-      "  \"trace_reps\": %d,\n"
+      "  \"trace_hit_overhead_p25_ms\": %.5f,\n"
+      "  \"trace_hit_overhead_p75_ms\": %.5f,\n"
+      "  \"trace_pairs\": %zu,\n"
       "  \"router_scatter_avg_ms\": %.4f,\n"
       "  \"router_scatter_twophase_avg_ms\": %.4f,\n"
       "  \"count_phase_avg_ms\": %.4f,\n"
@@ -512,7 +518,9 @@ int Main(int argc, char** argv) {
       smoke ? "true" : "false", dataset.NumSequences(), stream.size(),
       Avg(local_cold_ms), local_hit_avg, Avg(net_cold_ms), net_hit_avg,
       net_hit_overhead_ms, traced_hit_avg, trace_hit_overhead_ms,
-      trace_deltas.front(), trace_deltas.back(), kTraceReps, router_avg, twophase_avg, count_phase_avg_ms, candidate_count,
+      trace_deltas.front(), trace_deltas.back(), delta_quantile(0.25),
+      delta_quantile(0.75), trace_deltas.size(), router_avg, twophase_avg,
+      count_phase_avg_ms, candidate_count,
       kernel_ms, per_candidate_ms, count_kernel_speedup,
       count_kernel_parity ? "true" : "false",
       kernel_speedup_ok ? "true" : "false",

@@ -133,7 +133,25 @@ RunResult DecodeRunResult(ByteReader& reader) {
   return result;
 }
 
+namespace {
+
+/// Exact byte length EncodeNamedPatterns appends for `patterns`.
+size_t EncodedNamedPatternsSize(const NamedPatternList& patterns) {
+  size_t bytes = Varint64Size(patterns.size());
+  for (const NamedPattern& pattern : patterns) {
+    bytes += Varint64Size(pattern.items.size()) +
+             Varint64Size(pattern.frequency);
+    for (const std::string& item : pattern.items) {
+      bytes += Varint64Size(item.size()) + item.size();
+    }
+  }
+  return bytes;
+}
+
+}  // namespace
+
 void EncodeNamedPatterns(std::string* out, const NamedPatternList& patterns) {
+  out->reserve(out->size() + EncodedNamedPatternsSize(patterns));
   PutVarint64(out, patterns.size());
   for (const NamedPattern& pattern : patterns) {
     PutVarint64(out, pattern.items.size());

@@ -72,7 +72,9 @@ RunResult DecodeRunResult(ByteReader& reader);
 
 /// Serializes a pattern list: varint count, then per pattern the varint
 /// item count, each item as varint-length-prefixed name bytes, and the
-/// varint64 frequency.
+/// varint64 frequency. Reserves the encoded length up front, so a block
+/// encoded into an empty string holds exactly its own bytes (the result
+/// cache keeps such blocks and counts them in its budget).
 void EncodeNamedPatterns(std::string* out, const NamedPatternList& patterns);
 
 /// Inverse of EncodeNamedPatterns.

@@ -61,7 +61,11 @@ void RouterBackend::Handle(std::string_view payload, Reply reply) {
   pool_->Submit([this, spec = request.spec, reply] {
     std::string answer;
     try {
-      answer = EncodeMineResponse(Scatter(spec));
+      const MineResponse merged = Scatter(spec);
+      std::string block;
+      EncodeNamedPatterns(&block, merged.patterns);
+      answer = EncodeMineResponse(merged.run, merged.cache_hit,
+                                  merged.coalesced, merged.server_ms, block);
     } catch (const ServeError& e) {
       answer = EncodeErrorResponse(e.code(), e.what());
     } catch (const std::exception& e) {

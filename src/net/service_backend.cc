@@ -64,8 +64,7 @@ void ServiceBackend::Handle(std::string_view payload, Reply reply) {
                   "server received a non-request message");
   }
   const MineRequest request = DecodeMineRequest(payload);
-  Pending pending{service_->Submit(request.spec), request.spec,
-                  std::move(reply)};
+  Pending pending{service_->Submit(request.spec), std::move(reply)};
   {
     std::lock_guard<std::mutex> lock(mu_);
     inflight_.push_back(std::move(pending));
@@ -163,23 +162,12 @@ std::string ServiceBackend::BuildReplyPayload(const Pending& pending) {
     return EncodeErrorResponse(pending.result.error_code(),
                                pending.result.error_message());
   }
-  try {
-    const serve::Response& response = pending.result.Get();
-    MineResponse out;
-    out.run = response.run();
-    out.cache_hit = response.cache_hit;
-    out.coalesced = response.coalesced;
-    out.server_ms = response.latency_ms;
-    out.patterns = NamePatterns(*shards_[pending.spec.shard],
-                                response.patterns(),
-                                out.run.used_flat_hierarchy);
-    return EncodeMineResponse(out);
-  } catch (const std::exception& e) {
-    // Serialization failures (e.g. a rank that no longer names) must not
-    // escape into the resolving thread; they become a typed wire error.
-    return EncodeErrorResponse(serve::ServeErrorCode::kExecutionFailed,
-                               e.what());
-  }
+  // The execution named and encoded the patterns once, at cache fill; every
+  // reply of the entry splices those bytes.
+  const serve::Response& response = pending.result.Get();
+  return EncodeMineResponse(response.run(), response.cache_hit,
+                            response.coalesced, response.latency_ms,
+                            response.pattern_block());
 }
 
 }  // namespace lash::net

@@ -26,14 +26,14 @@ namespace lash::net {
 /// Handle() never blocks the event loop: a mine request is Submitted to the
 /// service (whose executor owns the long work) and parked on an in-flight
 /// list; the service's post_resolve_hook fires DrainReady(), which moves
-/// every resolved request off the list, serializes its answer — patterns
-/// decoded to item names in canonical wire order — and fires the Reply,
-/// which wakes the epoll loop. A count request (phase 2 of the router's
-/// two-phase protocol) is likewise handed off — to a backend-owned counting
-/// pool that parallelizes over transaction blocks (serve/support_count.h)
-/// and fires the Reply from a pool thread. Metrics requests answer
-/// synchronously; a mine request's trace context flows into the service's
-/// serve.* spans unchanged.
+/// every resolved request off the list, serializes its answer — the run
+/// summary plus the cache entry's canonical named-pattern block, spliced
+/// as-is — and fires the Reply, which wakes the epoll loop. A count request
+/// (phase 2 of the router's two-phase protocol) is likewise handed off — to
+/// a backend-owned counting pool that parallelizes over transaction blocks
+/// (serve/support_count.h) and fires the Reply from a pool thread. Metrics
+/// requests answer synchronously; a mine request's trace context flows into
+/// the service's serve.* spans unchanged.
 class ServiceBackend : public Backend {
  public:
   /// Borrows the shards (which must outlive the backend). `options` are
@@ -50,7 +50,6 @@ class ServiceBackend : public Backend {
  private:
   struct Pending {
     serve::PendingResult result;
-    serve::TaskSpec spec;
     Reply reply;
   };
 

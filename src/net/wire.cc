@@ -154,14 +154,15 @@ MineRequest DecodeMineRequest(std::string_view payload) {
   return request;
 }
 
-std::string EncodeMineResponse(const MineResponse& response) {
+std::string EncodeMineResponse(const RunResult& run, bool cache_hit,
+                               bool coalesced, double server_ms,
+                               std::string_view pattern_block) {
   std::string payload;
   AppendPayloadHeader(&payload, MessageType::kMineResponse);
-  payload.push_back((response.cache_hit ? 1 : 0) |
-                    (response.coalesced ? 2 : 0));
-  PutDoubleBits(&payload, response.server_ms);
-  EncodeRunResult(&payload, response.run);
-  EncodeNamedPatterns(&payload, response.patterns);
+  payload.push_back((cache_hit ? 1 : 0) | (coalesced ? 2 : 0));
+  PutDoubleBits(&payload, server_ms);
+  EncodeRunResult(&payload, run);
+  payload.append(pattern_block);
   return payload;
 }
 

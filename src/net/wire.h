@@ -118,7 +118,18 @@ struct MineResponse {
   NamedPatternList patterns;
 };
 
-std::string EncodeMineResponse(const MineResponse& response);
+/// The one mine-response encoder:
+///
+///   u8 flags (1 = cache hit, 2 = coalesced) | LE-double server_ms |
+///   EncodeRunResult(run) | pattern_block
+///
+/// `pattern_block` is spliced verbatim and must be one EncodeNamedPatterns
+/// byte string in canonical order. A worker passes its cache entry's block
+/// (serve::Response::pattern_block()), so a hit names and encodes nothing;
+/// the router encodes its merged list into a block first.
+std::string EncodeMineResponse(const RunResult& run, bool cache_hit,
+                               bool coalesced, double server_ms,
+                               std::string_view pattern_block);
 MineResponse DecodeMineResponse(std::string_view payload);
 
 /// A typed failure. The code survives the wire, so a client distinguishes

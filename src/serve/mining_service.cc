@@ -5,6 +5,8 @@
 #include <thread>
 #include <utility>
 
+#include "io/result_io.h"
+
 namespace lash::serve {
 
 namespace internal {
@@ -415,21 +417,39 @@ void MiningService::Execute(const std::shared_ptr<Execution>& exec) {
 
   if (options_.pre_execute_hook) options_.pre_execute_hook(exec->spec);
 
-  // Stage 6: mine. The spec was validated at submit, so an exception here
-  // is an execution failure (e.g. resource exhaustion), not user error.
+  // Stage 6: mine, then name and encode the answer once — the canonical
+  // block every wire reply of this entry splices. The spec was validated at
+  // submit, so an exception here is an execution failure (e.g. resource
+  // exhaustion, a rank that does not name), not user error; nothing is
+  // cached.
   inst_.executions->Add();
   obs::Span mine_span(&obs::Tracer::Global(), exec->trace_ctx, "serve.mine");
+  obs::Span encode_span;
   auto cached = std::make_shared<CachedResult>();
   try {
     const Dataset& dataset = *shards_[exec->spec.shard];
-    MiningTask task = MakeTask(dataset, exec->spec);
-    // Ambient context lets layers beneath the TaskSpec (the api/ facade)
-    // attach their spans without a signature change.
-    obs::ScopedAmbientContext ambient(mine_span.context());
-    cached->patterns = task.Mine(&cached->run);
+    {
+      MiningTask task = MakeTask(dataset, exec->spec);
+      // Ambient context lets layers beneath the TaskSpec (the api/ facade)
+      // attach their spans without a signature change.
+      obs::ScopedAmbientContext ambient(mine_span.context());
+      cached->patterns = task.Mine(&cached->run);
+    }
+    mine_span.Tag("patterns", static_cast<double>(cached->patterns.size()));
+    mine_span.End();
+    encode_span =
+        obs::Span(&obs::Tracer::Global(), exec->trace_ctx, "serve.encode");
+    EncodeNamedPatterns(&cached->pattern_block,
+                        NamePatterns(dataset, cached->patterns,
+                                     cached->run.used_flat_hierarchy));
+    encode_span.Tag("bytes",
+                    static_cast<double>(cached->pattern_block.size()));
+    encode_span.End();
   } catch (const std::exception& e) {
     mine_span.Tag("outcome", "failed");
     mine_span.End();
+    encode_span.Tag("outcome", "failed");
+    encode_span.End();
     std::vector<std::shared_ptr<RequestState>> waiters;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -441,8 +461,6 @@ void MiningService::Execute(const std::shared_ptr<Execution>& exec) {
     }
     return;
   }
-  mine_span.Tag("patterns", static_cast<double>(cached->patterns.size()));
-  mine_span.End();
   cached->cost_bytes = EstimateResultCost(exec->key, *cached);
 
   // Stage 7: publish then retire. Cache fill happens *before* the in-flight

@@ -59,8 +59,10 @@ class ServeError : public std::runtime_error {
 };
 
 /// A successful answer. The CachedResult is shared with the cache and with
-/// every other response served from the same execution — patterns are never
-/// copied on the hit path.
+/// every other response served from the same execution (hits and
+/// coalescers alike): nothing is copied, named or encoded per response.
+/// In-process callers read the rank-space patterns(); the wire tier sends
+/// pattern_block(), the canonical named bytes built once by the execution.
 struct Response {
   std::shared_ptr<const CachedResult> result;
   bool cache_hit = false;   ///< Served from the cache without mining.
@@ -69,6 +71,7 @@ struct Response {
 
   const RunResult& run() const { return result->run; }
   const PatternMap& patterns() const { return result->patterns; }
+  const std::string& pattern_block() const { return result->pattern_block; }
 };
 
 namespace internal {
@@ -204,8 +207,9 @@ struct ServiceStats {
 /// contract violation.
 ///
 /// Request pipeline: validate → cache lookup → coalesce-or-admit → queue →
-/// [worker] dequeue-time deadline/cancel check → mine → cache fill →
-/// delivery-time deadline/cancel check → resolve. Deadlines and
+/// [worker] dequeue-time deadline/cancel check → mine → encode the
+/// canonical pattern block → cache fill → delivery-time deadline/cancel
+/// check → resolve. Deadlines and
 /// cancellation are checked between stages, never preemptively.
 class MiningService {
  public:

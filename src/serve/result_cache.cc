@@ -14,6 +14,7 @@ uint64_t EstimateResultCost(const std::string& key,
   // round — the budget steers eviction, it is not an allocator audit.
   constexpr uint64_t kPerPatternOverhead = 48;
   uint64_t bytes = key.size() + sizeof(CachedResult) +
+                   result.pattern_block.size() +
                    sizeof(double) * (result.run.job.map_task_ms.size() +
                                      result.run.job.reduce_task_ms.size());
   for (const auto& [seq, freq] : result.patterns) {

@@ -18,11 +18,19 @@ namespace lash::serve {
 /// One finished execution, shared immutably between the cache and every
 /// response that was served from it: the unified RunResult (timings and
 /// counters of the execution that populated the entry — a cache hit
-/// deliberately reports the original run's statistics) plus the emitted
-/// patterns in rank space.
+/// deliberately reports the original run's statistics), the emitted
+/// patterns in rank space, and the same patterns as one canonical wire
+/// block.
 struct CachedResult {
   RunResult run;
+  /// Rank space, for in-process callers (Response::patterns()).
   PatternMap patterns;
+  /// `patterns` named and encoded once, at cache fill:
+  /// EncodeNamedPatterns(NamePatterns(shard, patterns,
+  /// run.used_flat_hierarchy)) (io/result_io.h), sized exactly. The wire
+  /// tier splices these bytes into every reply, so a hit re-encodes
+  /// nothing.
+  std::string pattern_block;
   /// Approximate resident footprint, fixed at insert time (see
   /// EstimateResultCost); the eviction currency of ResultCache.
   uint64_t cost_bytes = 0;
@@ -30,8 +38,9 @@ struct CachedResult {
 
 /// Approximate bytes held by a cached entry: the key, the pattern payload
 /// (items + frequency + an allowance for the hash-map node of each
-/// pattern), and the fixed structs. Deliberately deterministic — tests and
-/// eviction reasoning depend on equal results costing equal bytes.
+/// pattern), the pattern block's bytes, and the fixed structs.
+/// Deliberately deterministic — tests and eviction reasoning depend on
+/// equal results costing equal bytes.
 uint64_t EstimateResultCost(const std::string& key, const CachedResult& result);
 
 /// A sharded, cost-aware LRU cache from canonical cache-key bytes to

@@ -61,6 +61,15 @@ TaskSpec PaperSpec(Algorithm algorithm) {
   return spec;
 }
 
+/// A MineResponse through the one mine-response encoder: its patterns are
+/// encoded into a block first, exactly as the router does.
+std::string EncodeSpliced(const MineResponse& response) {
+  std::string block;
+  EncodeNamedPatterns(&block, response.patterns);
+  return EncodeMineResponse(response.run, response.cache_hit,
+                            response.coalesced, response.server_ms, block);
+}
+
 // ---- TaskSpec codec -------------------------------------------------------
 
 TEST(TaskSpecCodec, RoundTripsEveryCoveredKnobCombination) {
@@ -306,8 +315,13 @@ TEST(WireMessages, MineResponseRoundTrip) {
   response.server_ms = 0.125;
   response.patterns = {{{"a", "B"}, 3}, {{"a"}, 2}};
 
-  const std::string payload = EncodeMineResponse(response);
+  const std::string payload = EncodeSpliced(response);
   EXPECT_EQ(PeekMessageType(payload), MessageType::kMineResponse);
+  // The spliced block is the payload's tail, byte for byte.
+  std::string block;
+  EncodeNamedPatterns(&block, response.patterns);
+  ASSERT_GE(payload.size(), block.size());
+  EXPECT_EQ(payload.substr(payload.size() - block.size()), block);
   const MineResponse decoded = DecodeMineResponse(payload);
   EXPECT_TRUE(decoded.cache_hit);
   EXPECT_FALSE(decoded.coalesced);
@@ -319,7 +333,14 @@ TEST(WireMessages, MineResponseRoundTrip) {
   EXPECT_EQ(decoded.run.mine_ms, 3.25);
   // Re-encoding the decoded response reproduces the payload bytes — every
   // transmitted RunResult field round-trips.
-  EXPECT_EQ(EncodeMineResponse(decoded), payload);
+  EXPECT_EQ(EncodeSpliced(decoded), payload);
+  // Every strict prefix and any trailing byte is a typed error.
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_THROW(DecodeMineResponse(std::string_view(payload).substr(0, cut)),
+                 IoError)
+        << "prefix " << cut;
+  }
+  EXPECT_THROW(DecodeMineResponse(payload + '\0'), IoError);
 }
 
 TEST(WireMessages, ErrorRoundTrip) {
@@ -429,7 +450,7 @@ TEST(WireMessages, MalformedPayloadsThrow) {
     EXPECT_EQ(e.kind(), IoErrorKind::kBadVersion);
   }
   // Truncated mid-message.
-  const std::string response = EncodeMineResponse(MineResponse{});
+  const std::string response = EncodeSpliced(MineResponse{});
   EXPECT_THROW(DecodeMineResponse(
                    std::string_view(response).substr(0, response.size() - 1)),
                IoError);
@@ -532,6 +553,125 @@ TEST_F(NetLoopbackTest, SecondRequestHitsTheCacheAndStatsTravel) {
   EXPECT_EQ(metrics["serve.cache.entries"], 1.0);
 }
 
+/// A raw loopback connection that speaks frames but decodes nothing, so a
+/// test can compare reply payloads byte for byte.
+class RawConnection {
+ public:
+  explicit RawConnection(uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    connected_ =
+        fd_ >= 0 &&
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  bool connected() const { return connected_; }
+
+  bool Send(std::string_view payload) {
+    std::string frame;
+    AppendFrame(&frame, payload);
+    return ::send(fd_, frame.data(), frame.size(), 0) ==
+           static_cast<ssize_t>(frame.size());
+  }
+
+  /// Blocks until one whole reply frame arrived; "" if the peer closed.
+  std::string Receive() {
+    std::string buffer, payload;
+    char chunk[4096];
+    while (TryExtractFrame(&buffer, &payload) == FrameStatus::kNeedMore) {
+      const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (got <= 0) return "";
+      buffer.append(chunk, static_cast<size_t>(got));
+    }
+    return payload;
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+};
+
+/// The pattern block of a kMineResponse payload: every byte after the run
+/// summary.
+std::string PatternBlockOf(std::string_view payload) {
+  ByteReader reader(payload, "mine response");
+  reader.ReadBytes(3, "header and flags");
+  ReadDoubleBits(reader, "server ms");
+  DecodeRunResult(reader);
+  return std::string(payload.substr(reader.pos()));
+}
+
+TEST_F(NetLoopbackTest, MissHitAndCoalescedRepliesSpliceOneBlock) {
+  // The executor is held at the mine stage until a second request for the
+  // same spec has coalesced onto the execution; a third request then hits
+  // the filled entry. All three replies must carry the same block bytes,
+  // and those must be the in-process canonical bytes.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> executions{0};
+  serve::ServiceOptions options;
+  options.executor_threads = 1;
+  options.pre_execute_hook = [&](const TaskSpec&) {
+    if (executions.fetch_add(1) == 0) entered.set_value();
+    released.wait();
+  };
+  ServiceBackend backend({&dataset_}, std::move(options));
+  TestServer server(&backend);
+
+  const TaskSpec spec = PaperSpec(Algorithm::kLash);
+  const std::string request = EncodeMineRequest(spec);
+  RawConnection leader(server.port());
+  RawConnection joiner(server.port());
+  {
+    // Releases the executor on every exit from this scope, so a failed
+    // assertion cannot leave it parked in the hook while the backend
+    // drains.
+    struct ReleaseOnExit {
+      std::promise<void>* release;
+      ~ReleaseOnExit() { release->set_value(); }
+    } release_on_exit{&release};
+    ASSERT_TRUE(leader.connected() && joiner.connected());
+    ASSERT_TRUE(leader.Send(request));
+    entered.get_future().wait();
+    ASSERT_TRUE(joiner.Send(request));
+    for (int i = 0; i < 10000 && backend.service().Stats().coalesced < 1;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(backend.service().Stats().coalesced, 1u);
+  }
+  const std::string miss = leader.Receive();
+  const std::string coalesced = joiner.Receive();
+
+  RawConnection late(server.port());
+  ASSERT_TRUE(late.connected());
+  ASSERT_TRUE(late.Send(request));
+  const std::string hit = late.Receive();
+
+  ASSERT_EQ(PeekMessageType(miss), MessageType::kMineResponse);
+  ASSERT_EQ(PeekMessageType(coalesced), MessageType::kMineResponse);
+  ASSERT_EQ(PeekMessageType(hit), MessageType::kMineResponse);
+  EXPECT_EQ(miss[2], 0);       // Flags: neither hit nor coalesced.
+  EXPECT_EQ(coalesced[2], 2);  // Coalesced.
+  EXPECT_EQ(hit[2], 1);        // Cache hit.
+  EXPECT_EQ(executions.load(), 1);
+
+  const std::string baseline = BaselineBytes(spec);
+  EXPECT_EQ(PatternBlockOf(miss), baseline);
+  EXPECT_EQ(PatternBlockOf(coalesced), baseline);
+  EXPECT_EQ(PatternBlockOf(hit), baseline);
+  EXPECT_FALSE(DecodeMineResponse(hit).patterns.empty());
+}
+
 TEST_F(NetLoopbackTest, RouterMergesTwoShardsExactly) {
   // Even/odd transaction split of the paper corpus, sharing the vocabulary:
   // the shard union IS dataset_, so the router's merged answer must be
@@ -559,6 +699,16 @@ TEST_F(NetLoopbackTest, RouterMergesTwoShardsExactly) {
     EXPECT_EQ(Bytes(merged.patterns), BaselineBytes(spec))
         << "algorithm " << static_cast<int>(algorithm);
   }
+
+  // The router's reply comes out of the same spliced encoder: its raw
+  // pattern block is the union's in-process canonical bytes.
+  RawConnection raw(router_server.port());
+  ASSERT_TRUE(raw.connected());
+  const TaskSpec lash_spec = PaperSpec(Algorithm::kLash);
+  ASSERT_TRUE(raw.Send(EncodeMineRequest(lash_spec)));
+  const std::string payload = raw.Receive();
+  ASSERT_EQ(PeekMessageType(payload), MessageType::kMineResponse);
+  EXPECT_EQ(PatternBlockOf(payload), BaselineBytes(lash_spec));
 
   // Top-k re-cut: the merged answer truncated to k is the prefix of the
   // full merged answer in canonical order.
@@ -887,6 +1037,7 @@ TEST_F(NetLoopbackTest, OneTraceIdSpansClientRouterAndBothWorkers) {
   EXPECT_EQ(names.count("serve.cache"), 2u);
   EXPECT_EQ(names.count("serve.queue"), 2u);
   EXPECT_EQ(names.count("serve.mine"), 2u);
+  EXPECT_EQ(names.count("serve.encode"), 2u);
   EXPECT_EQ(names.count("api.mine"), 2u);
   EXPECT_EQ(names.count("mr.job"), 2u);
 
@@ -904,7 +1055,8 @@ TEST_F(NetLoopbackTest, OneTraceIdSpansClientRouterAndBothWorkers) {
           << "serve.request parented outside the router's legs";
       request_parents.insert(span.parent_id);
     }
-    if (span.name == "serve.mine" || span.name == "serve.queue") {
+    if (span.name == "serve.mine" || span.name == "serve.queue" ||
+        span.name == "serve.encode") {
       ASSERT_EQ(by_id.count(span.parent_id), 1u) << span.name;
       EXPECT_EQ(by_id[span.parent_id]->name, "serve.request") << span.name;
     }

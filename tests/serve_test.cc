@@ -1,5 +1,6 @@
 // Tests of the serving layer (serve/mining_service.h): cache-hit parity for
-// all six algorithms, in-flight coalescing, cost-aware LRU eviction,
+// all six algorithms, the canonical pattern block each execution encodes
+// once and its cost, in-flight coalescing, cost-aware LRU eviction,
 // admission rejection, deadline/cancellation as typed errors, counter
 // consistency, multi-shard routing, and the cache-key canonicalization
 // contract.
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "api/lash_api.h"
+#include "io/result_io.h"
 #include "obs/metrics.h"
 #include "serve/mining_service.h"
 #include "serve/result_cache.h"
@@ -179,13 +181,104 @@ TEST_F(ServePaperTest, CoalescingExecutesExactlyOnceUnderASubmissionStorm) {
     EXPECT_TRUE(r.coalesced) << i;
     EXPECT_FALSE(r.cache_hit) << i;
     EXPECT_EQ(r.result.get(), first.result.get()) << i;  // Shared, not copied.
+    // ...so every waiter replies with the one block the execution encoded.
+    EXPECT_EQ(&r.pattern_block(), &first.pattern_block()) << i;
   }
+  EXPECT_FALSE(first.pattern_block().empty());
   EXPECT_EQ(gate->entered(), 1u);  // The storm mined exactly once.
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.coalesced, 7u);
   EXPECT_EQ(stats.executions, 1u);
   EXPECT_EQ(stats.completed, 8u);
+}
+
+/// What the wire tier must send for `response`: its rank-space patterns
+/// named through `dataset` and encoded canonically.
+std::string CanonicalBlock(const Dataset& dataset, const Response& response) {
+  std::string block;
+  EncodeNamedPatterns(&block,
+                      NamePatterns(dataset, response.patterns(),
+                                   response.run().used_flat_hierarchy));
+  return block;
+}
+
+TEST_F(ServePaperTest, CachedBlockIsTheCanonicalNamedEncoding) {
+  MiningService service(dataset_);
+  TaskSpec lash = PaperSpec(Algorithm::kLash);
+  TaskSpec mgfsm = PaperSpec(Algorithm::kMgFsm);
+  TaskSpec top3 = PaperSpec(Algorithm::kSequential);
+  top3.top_k = 3;
+  TaskSpec closed = PaperSpec(Algorithm::kSequential);
+  closed.filter = PatternFilter::kClosed;
+  TaskSpec maximal = PaperSpec(Algorithm::kSequential);
+  maximal.filter = PatternFilter::kMaximal;
+
+  const Response r_lash = service.Submit(lash).Get();
+  EXPECT_FALSE(r_lash.run().used_flat_hierarchy);
+  const Response r_mgfsm = service.Submit(mgfsm).Get();
+  // MG-FSM names through the flat rank space.
+  EXPECT_TRUE(r_mgfsm.run().used_flat_hierarchy);
+  const Response r_top3 = service.Submit(top3).Get();
+  EXPECT_EQ(r_top3.patterns().size(), 3u);
+  const Response r_closed = service.Submit(closed).Get();
+  const Response r_maximal = service.Submit(maximal).Get();
+
+  for (const Response* r : {&r_lash, &r_mgfsm, &r_top3, &r_closed,
+                            &r_maximal}) {
+    EXPECT_FALSE(r->pattern_block().empty());
+    EXPECT_EQ(r->pattern_block(), CanonicalBlock(dataset_, *r))
+        << AlgorithmName(r->run().algorithm);
+  }
+  // The filters change the answer, so they change the block.
+  EXPECT_NE(r_closed.pattern_block(), r_maximal.pattern_block());
+  // A hit hands back the very bytes the miss encoded.
+  const Response hit = service.Submit(mgfsm).Get();
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(&hit.pattern_block(), &r_mgfsm.pattern_block());
+}
+
+TEST_F(ServePaperTest, ResultCostCountsTheBlockBytesExactly) {
+  const TaskSpec spec = PaperSpec(Algorithm::kLash);
+  const std::string key = EncodeCacheKey(dataset_.id(), spec);
+  const Response response = MiningService(dataset_).Submit(spec).Get();
+  const CachedResult& entry = *response.result;
+  EXPECT_EQ(entry.cost_bytes, EstimateResultCost(key, entry));
+
+  CachedResult without_block = entry;
+  without_block.pattern_block.clear();
+  EXPECT_EQ(EstimateResultCost(key, entry) -
+                EstimateResultCost(key, without_block),
+            entry.pattern_block.size());
+
+  // Equal results cost equal bytes, execution after execution.
+  const Response again = MiningService(dataset_).Submit(spec).Get();
+  EXPECT_NE(again.result.get(), response.result.get());
+  EXPECT_EQ(again.pattern_block(), response.pattern_block());
+  EXPECT_EQ(EstimateResultCost(key, *again.result), entry.cost_bytes);
+}
+
+TEST_F(ServePaperTest, UncachedAnswersCarryTheSameBlock) {
+  const TaskSpec spec = PaperSpec(Algorithm::kSequential);
+  const Response cached = MiningService(dataset_).Submit(spec).Get();
+
+  ServiceOptions tiny;
+  tiny.cache_bytes = 64;  // Every entry is rejected as oversized.
+  tiny.cache_shards = 1;
+  MiningService oversized(dataset_, tiny);
+  ServiceOptions off;
+  off.cache_bytes = 0;  // Caching disabled.
+  MiningService disabled(dataset_, off);
+
+  for (MiningService* service : {&oversized, &disabled}) {
+    for (int round = 0; round < 2; ++round) {
+      const Response r = service->Submit(spec).Get();
+      EXPECT_FALSE(r.cache_hit);
+      EXPECT_EQ(r.pattern_block(), cached.pattern_block()) << round;
+    }
+    EXPECT_EQ(service->Stats().cache_entries, 0u);
+  }
+  EXPECT_GT(oversized.Stats().cache_oversized_rejects, 0u);
 }
 
 TEST_F(ServePaperTest, LruEvictionRespectsTheByteBudget) {
